@@ -104,9 +104,10 @@ def cmd_skeleton(args) -> int:
 def cmd_analyze(args) -> int:
     limits = _limits(args)
     bd = basic_data_from_dict(load_json(args.file), limits=limits)
-    report = simplicity_report(bd, limits=limits)
+    sk = build_skeleton(bd, limits)
+    report = simplicity_report(bd, skeleton=sk, limits=limits)
     if report.verdict.status is AperiodicityStatus.UNKNOWN:
-        report.notes.append(_witness_evidence(bd, args.witness_bound, limits))
+        report.notes.append(_witness_evidence(bd, sk, args.witness_bound, limits))
     doc = report_to_dict(report)
     if args.format == "text":
         print(f"verdict: {doc['verdict']}")
@@ -123,13 +124,11 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _witness_evidence(bd, bound, limits) -> str:
+def _witness_evidence(bd, sk, bound, limits) -> str:
     """Bounded witness searches as report evidence when no certificate exists."""
     from .dynamics import periodicity_witness_search
-    from .graph import build_skeleton
     from .lattice import ORIGIN, p_add, p_join, p_meet
 
-    sk = build_skeleton(bd, limits)
     pairs = [
         (m, n)
         for m in [(0, 0), (1, 0), (0, 1), (1, 1)]

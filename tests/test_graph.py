@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tilegraphs import (
     InconsistentInput,
@@ -12,15 +12,18 @@ from tilegraphs import (
     all_paths,
     build_skeleton,
     compose,
+    edge_condition,
     enumerate_paths,
     factorize,
     fill_corner_br,
     fill_corner_ul,
+    import_prw,
     parse_tile,
     path_count,
     to_dot,
     translate_union,
     validate_basic_data,
+    validate_prw,
 )
 from tilegraphs.checks import (
     check_associativity,
@@ -36,6 +39,32 @@ LEDRAPPIER_TABLE = {"0": ["0", "1"], "1": ["1", "0"]}
 
 def ledrappier_data():
     return validate_basic_data(TRIPOD, ["0", "1"], LEDRAPPIER_TABLE)
+
+
+def corrupted_ledrappier_data():
+    # Bypass validation with a non-bijective row.
+    bd = ledrappier_data()
+    bd.bijections[("1",)] = ("0", "0")
+    bd.inverses[("1",)] = ("0", "0")
+    return bd
+
+
+def modular_rule(cells):
+    """mod 4 with weight 3 except 1 at the bottom-right corner, trace 0."""
+    tile = parse_tile(cells)
+    w = {p: 1 if p == tile.corner_br else 3 for p in tile.points}
+    return validate_prw(tile, 4, 0, w)
+
+
+def pairwise_edges(bd, sk, colour):
+    """The definitional scan: every ordered vertex pair through edge_condition."""
+    axis = {"blue": 1, "red": 2}[colour]
+    return tuple(
+        (i, j)
+        for i, v in enumerate(sk.vertices)
+        for j, u in enumerate(sk.vertices)
+        if edge_condition(bd.tile, v, u, axis)
+    )
 
 
 def staircase_data():
@@ -59,8 +88,8 @@ def tall_staircase_data():
 
 
 @st.composite
-def small_data(draw):
-    """Random two-symbol data on a random tile of at most four cells."""
+def small_data(draw, symbols=("0", "1")):
+    """Random data on a random tile of at most four cells."""
     pts = draw(
         st.sampled_from(
             [
@@ -74,9 +103,9 @@ def small_data(draw):
     )
     tile = parse_tile(pts)
     table = {}
-    for pat in itertools.product("01", repeat=len(tile.reduced)):
-        table[",".join(pat)] = list(draw(st.permutations(("0", "1"))))
-    return validate_basic_data(tile, ["0", "1"], table)
+    for pat in itertools.product(symbols, repeat=len(tile.reduced)):
+        table[",".join(pat)] = list(draw(st.permutations(symbols)))
+    return validate_basic_data(tile, list(symbols), table)
 
 
 class TestSkeleton:
@@ -121,6 +150,55 @@ class TestSkeleton:
         a = len(bd.alphabet)
         assert len(sk.blue) == len(sk.vertices) * a**bd.tile.c2
         assert len(sk.red) == len(sk.vertices) * a**bd.tile.c1
+
+    @given(st.one_of(small_data(), small_data(("0", "1", "2"))))
+    @settings(max_examples=30, deadline=None)
+    @example(validate_basic_data(parse_tile([(0, 0)]), ["0", "1"], None, "0"))
+    @example(validate_basic_data(parse_tile([(0, 0), (1, 0), (2, 0)]), ["0", "1"],
+                                 {"0": ["0", "1"], "1": ["1", "0"]}))
+    @example(corrupted_ledrappier_data())
+    def test_join_matches_the_pairwise_condition(self, bd):
+        # The hash join must keep exactly the pairs the pairwise test keeps,
+        # and the pairwise test must read the overlap as defined here from
+        # the tile's points, not through the library's memoised overlap.
+        sk = build_skeleton(bd, check=False)
+        tile = bd.tile
+        for colour, e in (("blue", (1, 0)), ("red", (0, 1))):
+            ov = [p for p in tile.points if (p[0] - e[0], p[1] - e[1]) in tile.points]
+            defined = tuple(
+                (i, j)
+                for i, v in enumerate(sk.vertices)
+                for j, u in enumerate(sk.vertices)
+                for vd, ud in [(v.as_dict(), u.as_dict())]
+                if all(vd[m] == ud[(m[0] - e[0], m[1] - e[1])] for m in ov)
+            )
+            assert sk.edges(colour) == pairwise_edges(bd, sk, colour) == defined
+
+    def test_join_matches_the_pairwise_scan_on_256_vertices(self):
+        bd = import_prw(modular_rule([(0, 0), (1, 0), (2, 0), (0, 1), (0, 2)]))
+        sk = build_skeleton(bd)
+        assert len(sk.vertices) == 256
+        for colour in ("blue", "red"):
+            assert sk.edges(colour) == pairwise_edges(bd, sk, colour)
+
+    def test_vertex_cap_graph_has_16_edges_per_vertex(self):
+        bd = import_prw(
+            modular_rule([(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (0, 2)])
+        )
+        sk = build_skeleton(bd)
+        assert len(sk.vertices) == 1024
+        assert len(sk.blue) == len(sk.red) == 16_384
+
+    def test_adjacency_matches_the_edge_lists(self, square_sk):
+        sk = square_sk
+        for colour in ("blue", "red"):
+            for v in range(len(sk.vertices)):
+                heads = sorted(u for w, u in sk.edges(colour) if w == v)
+                assert sk.out_neighbours(colour, v) == heads
+                n = len(sk.vertices)
+                assert [u for u in range(n) if sk.has_edge(colour, v, u)] == heads
+        with pytest.raises(ValueError):
+            sk.out_neighbours("green", 0)
 
     def test_dot_export(self, ledrappier_sk):
         dot = to_dot(ledrappier_sk)
@@ -359,11 +437,8 @@ class TestAxiomSuites:
         ).ok
 
     def test_corrupted_table_fails_factorisation(self):
-        # Bypass validation with a non-bijective row: the checker must
-        # catch the breakage rather than report success.
-        bd = ledrappier_data()
-        bd.bijections[("1",)] = ("0", "0")
-        bd.inverses[("1",)] = ("0", "0")
+        # The checker must catch the breakage rather than report success.
+        bd = corrupted_ledrappier_data()
         result = check_unique_factorisation(bd, (1, 1))
         assert not result.ok
         assert result.counterexample is not None
@@ -371,9 +446,7 @@ class TestAxiomSuites:
     def test_corrupted_table_fails_the_suite(self):
         from tilegraphs.checks import run_axiom_suite
 
-        bd = ledrappier_data()
-        bd.bijections[("1",)] = ("0", "0")
-        bd.inverses[("1",)] = ("0", "0")
+        bd = corrupted_ledrappier_data()
         results = run_axiom_suite(bd, degree=(1, 1))
         failed = {r.name for r in results if not r.ok}
         assert "degree-counts" in failed
