@@ -217,11 +217,14 @@ def check_unique_factorisation(
                             f"slice-and-compose failed at degree {d}, split {m}",
                             counterexample=lam,
                         )
+                # Composable pairs in (mu, nu) enumeration order: each mu
+                # meets the nu's whose range is its source, in their order.
+                by_range: dict = {}
+                for nu in all_paths(bd, n, skeleton=sk, limits=limits, strict=False):
+                    by_range.setdefault(nu.range_vertex, []).append(nu)
                 seen: dict[tuple, tuple] = {}
                 for mu in all_paths(bd, m, skeleton=sk, limits=limits, strict=False):
-                    for nu in all_paths(bd, n, skeleton=sk, limits=limits, strict=False):
-                        if mu.source_vertex != nu.range_vertex:
-                            continue
+                    for nu in by_range.get(mu.source_vertex, ()):
                         lam = compose(bd, mu, nu)
                         if lam.labels in seen:
                             return CheckResult(

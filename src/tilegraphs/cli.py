@@ -125,26 +125,30 @@ def cmd_analyze(args) -> int:
 
 
 def _witness_evidence(bd, sk, bound, limits) -> str:
-    """Bounded witness searches as report evidence when no certificate exists."""
-    from .dynamics import periodicity_witness_search
+    """Bounded witness searches as report evidence when no certificate exists.
+
+    The offset pairs share three depths, so each vertex's paths are
+    enumerated once per depth and tested against every pair of that depth;
+    each list is dropped before the next one is built.
+    """
+    from .dynamics import _first_witness, _witness_depth
+    from .graph import enumerate_paths
     from .lattice import ORIGIN, p_add, p_join, p_meet
 
-    pairs = [
-        (m, n)
-        for m in [(0, 0), (1, 0), (0, 1), (1, 1)]
-        for n in [(0, 0), (1, 0), (0, 1), (1, 1)]
-        if m != n and p_meet(m, n) == ORIGIN
-    ]
+    by_depth: dict = {}
+    for m in [(0, 0), (1, 0), (0, 1), (1, 1)]:
+        for n in [(0, 0), (1, 0), (0, 1), (1, 1)]:
+            if m != n and p_meet(m, n) == ORIGIN:
+                depth = _witness_depth(bd, m, n, p_add(p_join(m, n), bound), limits)
+                by_depth.setdefault(depth, []).append((m, n))
     found = total = 0
     for v in sk.vertices:
-        for m, n in pairs:
-            total += 1
-            depth = p_add(p_join(m, n), bound)
-            witness = periodicity_witness_search(
-                bd, v, m, n, depth=depth, skeleton=sk, limits=limits
-            )
-            if witness is not None:
-                found += 1
+        for depth, pairs in by_depth.items():
+            paths = enumerate_paths(bd, v, depth, skeleton=sk, limits=limits)
+            for m, n in pairs:
+                total += 1
+                found += _first_witness(paths, m, n, depth) is not None
+            del paths
     return (
         f"bounded witness search (join + {bound}): witnesses found for "
         f"{found} of {total} (vertex, offset-pair) cases; absence of a "

@@ -59,11 +59,13 @@ class Alphabet:
                 # Commas are the pattern-key separator; empty symbols would
                 # make keys ambiguous.
                 raise ValidationError(f"invalid alphabet symbol {s!r}")
+        # Not a field: equality, hashing and repr stay those of ``symbols``.
+        object.__setattr__(self, "_index", {s: i for i, s in enumerate(self.symbols)})
 
     def index(self, symbol: str) -> int:
         try:
-            return self.symbols.index(symbol)
-        except ValueError:
+            return self._index[symbol]
+        except (KeyError, TypeError):
             raise UnknownSymbol(f"symbol {symbol!r} is not in the alphabet") from None
 
     def __contains__(self, symbol: str) -> bool:

@@ -297,6 +297,16 @@ def periodicity_witness_search(
     agrees on the two slices up to this depth; "no witness up to depth"
     never means "periodic".
     """
+    depth = _witness_depth(bd, m, n, depth, limits)
+    paths = enumerate_paths(bd, v, depth, skeleton=skeleton, limits=limits)
+    return _first_witness(paths, m, n, depth)
+
+
+def _witness_depth(
+    bd: BasicData, m: Point, n: Point, depth: Point | None, limits: Limits
+) -> Point:
+    """Check a witness search's offsets against its depth (defaulted here)
+    and the path cap, before any path is enumerated."""
     if m == n:
         raise ValueError("the two offsets must be distinct")
     if p_meet(m, n) != ORIGIN:
@@ -313,8 +323,14 @@ def periodicity_witness_search(
             f"{path_count(bd, depth)} paths of degree {depth} would exceed "
             f"the cap of {limits.max_paths}"
         )
-    rest = p_sub(depth, join)
-    for lam in enumerate_paths(bd, v, depth, skeleton=skeleton, limits=limits):
+    return depth
+
+
+def _first_witness(paths: list[Path], m: Point, n: Point, depth: Point) -> Path | None:
+    """The first of ``paths`` (all of degree ``depth``) whose slices at
+    ``m`` and ``n`` differ, or None."""
+    rest = p_sub(depth, p_join(m, n))
+    for lam in paths:
         left = factorize(lam, m, p_add(m, rest))
         right = factorize(lam, n, p_add(n, rest))
         if left.labels != right.labels:

@@ -16,6 +16,12 @@ rectangle row by row (bottom to top, right to left within a row) using the
 inverses.  Any consistent order would give the same labels; this one makes
 the intermediate states easy to test.
 
+Paths of one degree share a cached layout of ``T(n)`` (sorted cells, their
+slots, each window's slots), and each pair of operand degrees a cached
+compose plan (which slots each operand fills, then the fill steps in the
+order above), so composing, slicing and reading windows index symbol
+tuples instead of rebuilding dicts and translate unions on every call.
+
 All values here are immutable; building and enumerating paths is pure.
 """
 
@@ -40,6 +46,7 @@ from .lattice import (
     ORIGIN,
     Point,
     Tile,
+    box,
     contained_translates,
     overlap,
     p_add,
@@ -78,9 +85,11 @@ class Path:
 
     def window(self, m: Point) -> Vertex:
         """The tile-window restriction at offset ``m`` (shifted back to the tile)."""
-        d = self.as_dict()
+        layout = _layout(self.tile, self.degree)
+        symbols = _symbols(self, layout.cells)
         return vertex_from_labels(
-            self.tile, {t: d[p_add(t, m)] for t in self.tile.points}
+            self.tile,
+            dict(zip(self.tile.sorted_points, [symbols[k] for k in layout.windows[m]])),
         )
 
     @property
@@ -90,6 +99,42 @@ class Path:
     @property
     def source_vertex(self) -> Vertex:
         return self.window(self.degree)
+
+
+# -- layouts ------------------------------------------------------------------
+
+@dataclass(frozen=True, eq=False)
+class _Layout:
+    """The cells of ``T(n)`` in sorted order (a path's symbols are read slot
+    by slot against them), each cell's slot, and for every window offset
+    ``m`` in ``[0, n]`` the slots of ``tile + m`` in the tile's point order."""
+
+    cells: tuple[Point, ...]
+    slot: dict[Point, int]
+    windows: dict[Point, tuple[int, ...]]
+
+
+@lru_cache(maxsize=256)
+def _layout(tile: Tile, n: Point) -> _Layout:
+    cells = tuple(translate_union(tile, n).sorted_points)
+    slot = {c: i for i, c in enumerate(cells)}
+    windows = {
+        m: tuple(slot[p_add(t, m)] for t in tile.sorted_points)
+        for m in box(ORIGIN, n)
+    }
+    return _Layout(cells, slot, windows)
+
+
+def _symbols(path: Path, cells: tuple[Point, ...]) -> tuple[str, ...]:
+    """The symbols of ``path`` slot by slot, once its cells are ``cells``."""
+    if len(path.labels) == len(cells):
+        have, symbols = zip(*path.labels)
+        if have == cells:
+            return symbols
+    raise InvariantViolation(
+        f"a path of degree {path.degree} must label exactly the sorted "
+        f"cells of T({path.degree})"
+    )
 
 
 @lru_cache(maxsize=64)
@@ -248,22 +293,27 @@ def to_dot(sk: Skeleton) -> str:
 
 # -- corner filling ----------------------------------------------------------
 
-def _pattern_at(bd: BasicData, labels: Mapping[Point, str], base: Point):
-    return tuple(labels[p_add(t, base)] for t in bd.tile.sorted_reduced)
+# A fill step is ``(target, pattern cells, key corner, forward)``: the target
+# is forced by ``f`` (forward) or ``f_inv`` from the window's reduced pattern
+# and its opposite corner.  Cells are points when filling a labelling and
+# slots in a compose plan.
 
 
-def _fill_value_br(bd: BasicData, labels: Mapping[Point, str], base: Point) -> str:
-    """Forced value of the bottom-right corner of the window at ``base``."""
-    p = _pattern_at(bd, labels, base)
-    a = labels[p_add(base, bd.tile.corner_ul)]
-    return bd.f(p, a)
+def _corner_step(tile: Tile, base: Point, forward: bool) -> tuple:
+    """The fill of the window at ``base``: forward, its bottom-right corner
+    from its pattern and upper-left corner; backward, the mirror image."""
+    target, key = tile.corner_br, tile.corner_ul
+    if not forward:
+        target, key = key, target
+    pattern = tuple(p_add(t, base) for t in tile.sorted_reduced)
+    return p_add(target, base), pattern, p_add(key, base), forward
 
 
-def _fill_value_ul(bd: BasicData, labels: Mapping[Point, str], base: Point) -> str:
-    """Forced value of the upper-left corner of the window at ``base``."""
-    p = _pattern_at(bd, labels, base)
-    b = labels[p_add(base, bd.tile.corner_br)]
-    return bd.f_inv(p, b)
+def _forced_symbol(bd: BasicData, values, step: tuple) -> str:
+    """The one symbol that completes the step's window to a vertex."""
+    _, pattern, key, forward = step
+    rule = bd.f if forward else bd.f_inv
+    return rule(tuple([values[k] for k in pattern]), values[key])
 
 
 def _check_windows(bd: BasicData, labels: Mapping[Point, str]) -> None:
@@ -292,24 +342,7 @@ def fill_corner_br(
         A fully contained window of the input already fails the vertex
         condition.
     """
-    tile = bd.tile
-    if bd.degenerate:
-        raise ValidationError("corner filling needs a nondegenerate tile")
-    if n[1] < 1:
-        raise ValueError(f"offset {n} must have a positive second coordinate")
-    have = frozenset(labels)
-    for k in (p_add(n, unit(1)), p_sub(n, unit(2))):
-        missing = tile.translate(k) - have
-        if missing:
-            raise ValueError(
-                f"labels must cover the window at {k}; missing {sorted(missing)}"
-            )
-    _check_windows(bd, labels)
-    target = p_add(n, (tile.c1 + 1, -1))
-    if target in have:
-        return target, labels[target]
-    base = p_add(n, (1, -1))
-    return target, _fill_value_br(bd, labels, base)
+    return _fill_corner(bd, labels, n, forward=True)
 
 
 def fill_corner_ul(
@@ -317,6 +350,12 @@ def fill_corner_ul(
 ) -> tuple[Point, str]:
     """Fill the upper-left corner cell ``n + c2 e2`` (mirror of
     :func:`fill_corner_br`, using the inverse bijections)."""
+    return _fill_corner(bd, labels, n, forward=False)
+
+
+def _fill_corner(
+    bd: BasicData, labels: Mapping[Point, str], n: Point, forward: bool
+) -> tuple[Point, str]:
     tile = bd.tile
     if bd.degenerate:
         raise ValidationError("corner filling needs a nondegenerate tile")
@@ -330,13 +369,113 @@ def fill_corner_ul(
                 f"labels must cover the window at {k}; missing {sorted(missing)}"
             )
     _check_windows(bd, labels)
-    target = p_add(n, (0, tile.c2))
+    step = _corner_step(tile, p_add(n, (1, -1)) if forward else n, forward)
+    target = step[0]
     if target in have:
         return target, labels[target]
-    return target, _fill_value_ul(bd, labels, n)
+    return target, _forced_symbol(bd, labels, step)
 
 
 # -- composition and factorisation -------------------------------------------
+
+@dataclass(frozen=True, eq=False)
+class _ComposePlan:
+    """The composition of a degree-``dmu`` path with a degree-``dnu`` one,
+    in slots of the operands' layouts and of ``T(dmu + dnu)``.
+
+    The operands share exactly the window at ``dmu`` (``mu_source`` and
+    ``nu_range`` hold its slots in each).  ``gather`` gives, for each result
+    slot an operand labels, its index in the operands' symbols laid end to
+    end (``mu`` first); ``steps`` fill the remaining slots in order, and
+    ``blank`` lists them instead for the one-cell tile.
+    """
+
+    mu_cells: tuple[Point, ...]
+    nu_cells: tuple[Point, ...]
+    mu_source: tuple[int, ...]
+    nu_range: tuple[int, ...]
+    total: Point
+    cells: tuple[Point, ...]
+    gather: tuple[int, ...]
+    steps: tuple[tuple, ...]
+    blank: tuple[int, ...]
+
+
+@lru_cache(maxsize=256)
+def _compose_plan(tile: Tile, dmu: Point, dnu: Point) -> _ComposePlan:
+    """Lay out a composition once per ``(tile, dmu, dnu)``.
+
+    The bottom-right rectangle is filled column by column (left to right,
+    top to bottom within a column) with the forward bijections, then the
+    upper-left one row by row (bottom to top, right to left) with the
+    inverses.  Every fill window must be complete when its turn comes and
+    the result must cover ``T(dmu + dnu)``: facts about the geometry alone,
+    checked here rather than on every call.
+    """
+    total = p_add(dmu, dnu)
+    lmu, lnu, out = _layout(tile, dmu), _layout(tile, dnu), _layout(tile, total)
+    gather = [-1] * len(out.cells)
+    for i, c in enumerate(lmu.cells):
+        gather[out.slot[c]] = i
+    for j, c in enumerate(lnu.cells):
+        k = out.slot[p_add(c, dmu)]
+        if gather[k] < 0:
+            gather[k] = len(lmu.cells) + j
+        elif c not in tile.points:
+            # Outside nu's range window: the window test would not cover it.
+            raise InvariantViolation(
+                f"operands of degrees {dmu} and {dnu} share {p_add(c, dmu)}, "
+                f"outside the window at {dmu}"
+            )
+    if tile.degenerate:
+        steps, blank = [], tuple(k for k, g in enumerate(gather) if g < 0)
+    else:
+        c1, c2 = tile.c1, tile.c2
+        todo = [
+            ((x, y), (x - c1, y), True)
+            for x in range(c1 + dmu[0] + 1, c1 + total[0] + 1)
+            for y in range(dmu[1] - 1, -1, -1)
+        ] + [
+            ((x, y), (x, y - c2), False)
+            for y in range(c2 + dmu[1] + 1, c2 + total[1] + 1)
+            for x in range(dmu[0] - 1, -1, -1)
+        ]
+        have = {out.cells[k] for k, g in enumerate(gather) if g >= 0}
+        steps = []
+        for cell, base, forward in todo:
+            missing = tile.translate(base) - have - {cell}
+            if missing:
+                raise InvariantViolation(
+                    f"cannot fill {cell}: window at {base} is missing {sorted(missing)}"
+                )
+            have.add(cell)
+            steps.append(_corner_step(tile, base, forward))
+        if have != set(out.cells):
+            raise InvariantViolation(
+                "corner filling did not produce the full translate union"
+            )
+        steps = [
+            (out.slot[t], tuple(out.slot[p] for p in pattern), out.slot[key], fwd)
+            for t, pattern, key, fwd in steps
+        ]
+        blank = ()  # the steps fill every slot the operands leave
+    return _ComposePlan(
+        lmu.cells, lnu.cells, lmu.windows[dmu], lnu.windows[ORIGIN], total,
+        out.cells, tuple(max(g, 0) for g in gather), tuple(steps), blank,
+    )
+
+
+def _run_plan(bd: BasicData, plan: _ComposePlan, a, b) -> list[str]:
+    """The composite's symbols from operand symbols ``a`` and ``b`` (both
+    tuples or both lists) whose windows at ``dmu`` already match."""
+    out = list(map((a + b).__getitem__, plan.gather))
+    for k in plan.blank:
+        # One-cell tile: every uncovered cell carries the distinguished symbol.
+        out[k] = bd.distinguished
+    for step in plan.steps:
+        out[step[0]] = _forced_symbol(bd, out, step)
+    return out
+
 
 def compose(bd: BasicData, mu: Path, nu: Path) -> Path:
     """The unique path restricting to ``mu`` at the origin and to ``nu`` at
@@ -347,57 +486,23 @@ def compose(bd: BasicData, mu: Path, nu: Path) -> Path:
     SourceRangeMismatch
         If ``mu``'s source window differs from ``nu``'s range window.
     """
-    tile = bd.tile
-    if mu.source_vertex != nu.range_vertex:
+    plan = _compose_plan(bd.tile, mu.degree, nu.degree)
+    a, b = _symbols(mu, plan.mu_cells), _symbols(nu, plan.nu_cells)
+    if [a[k] for k in plan.mu_source] != [b[k] for k in plan.nu_range]:
         raise SourceRangeMismatch(
             "cannot compose: source window of the first path differs from "
             "the range window of the second"
         )
-    dmu, dnu = mu.degree, nu.degree
-    total = p_add(dmu, dnu)
-
-    labels = mu.as_dict()
-    for p, s in nu.labels:
-        q = p_add(p, dmu)
-        if labels.get(q, s) != s:
-            raise InvariantViolation(
-                f"operands disagree at {q} although their windows match"
-            )
-        labels[q] = s
-
-    if bd.degenerate:
-        # One-cell tile: every cell of the rectangle carries the single
-        # distinguished symbol; no corner filling is needed.
-        for x in range(total[0] + 1):
-            for y in range(total[1] + 1):
-                labels.setdefault((x, y), bd.distinguished)
-        return Path.make(tile, total, labels)
-
-    c1, c2 = tile.c1, tile.c2
-    # Bottom-right rectangle: columns left to right, top to bottom.
-    for x in range(c1 + dmu[0] + 1, c1 + dmu[0] + dnu[0] + 1):
-        for y in range(dmu[1] - 1, -1, -1):
-            _fill_cell(bd, labels, (x, y), (x - c1, y), _fill_value_br)
-    # Upper-left rectangle: rows bottom to top, right to left.
-    for y in range(c2 + dmu[1] + 1, c2 + dmu[1] + dnu[1] + 1):
-        for x in range(dmu[0] - 1, -1, -1):
-            _fill_cell(bd, labels, (x, y), (x, y - c2), _fill_value_ul)
-
-    if frozenset(labels) != translate_union(tile, total).points:
-        raise InvariantViolation(
-            "corner filling did not produce the full translate union"
-        )
-    return Path.make(tile, total, labels)
+    return Path(bd.tile, plan.total, tuple(zip(plan.cells, _run_plan(bd, plan, a, b))))
 
 
-def _fill_cell(bd, labels, cell, base, rule) -> None:
-    window = bd.tile.translate(base)
-    missing = window - frozenset(labels) - {cell}
-    if missing:
-        raise InvariantViolation(
-            f"cannot fill {cell}: window at {base} is missing {sorted(missing)}"
-        )
-    labels[cell] = rule(bd, labels, base)
+@lru_cache(maxsize=256)
+def _slice(tile: Tile, degree: Point, m: Point, sub: Point):
+    """The cells of ``T(sub)`` and, for each, the slot of the cell ``m``
+    further on in ``T(degree)``."""
+    slot = _layout(tile, degree).slot
+    cells = _layout(tile, sub).cells
+    return cells, tuple(slot[p_add(c, m)] for c in cells)
 
 
 def factorize(lam: Path, m: Point, n: Point) -> Path:
@@ -412,12 +517,10 @@ def factorize(lam: Path, m: Point, n: Point) -> Path:
         raise OutOfRange(
             f"slice ({m}, {n}) is not within degree {lam.degree}"
         )
-    d = lam.as_dict()
     sub = p_sub(n, m)
-    labels = {
-        i: d[p_add(i, m)] for i in translate_union(lam.tile, sub).points
-    }
-    return Path.make(lam.tile, sub, labels)
+    symbols = _symbols(lam, _layout(lam.tile, lam.degree).cells)
+    cells, slots = _slice(lam.tile, lam.degree, m, sub)
+    return Path(lam.tile, sub, tuple(zip(cells, map(symbols.__getitem__, slots))))
 
 
 # -- enumeration --------------------------------------------------------------
@@ -453,23 +556,34 @@ def enumerate_paths(
         )
     tile = bd.tile
     if bd.degenerate:
-        labels = {
-            (x, y): bd.distinguished
-            for x in range(n[0] + 1)
-            for y in range(n[1] + 1)
-        }
-        return [Path.make(tile, n, labels)]
+        cells = _layout(tile, n).cells
+        return [Path(tile, n, tuple((c, bd.distinguished) for c in cells))]
 
     sk = skeleton if skeleton is not None else build_skeleton(bd, limits)
-    out_lists = {colour: sk._adjacency(colour) for colour in (BLUE, RED)}
-    paths = [Path.from_vertex(tile, v)]
+    if n == ORIGIN:
+        return [Path.from_vertex(tile, v)]
+    # The frontier holds (symbols, source vertex index) pairs: each step
+    # composes with an edge whose range window is that source by construction.
+    frontier = [(list(v.symbols), sk.index[v])]
+    edges: dict[tuple[str, int, int], list[str]] = {}
+    degree = ORIGIN
     for colour in (BLUE,) * n[0] + (RED,) * n[1]:
+        e = unit(COLOUR_AXIS[colour])
+        plan = _compose_plan(tile, degree, e)
+        degree = plan.total
+        out_list = sk._adjacency(colour)
         nxt = []
-        for lam in paths:
-            src = sk.index[lam.source_vertex]
-            for u in out_lists[colour][src]:
-                nxt.append(compose(bd, lam, sk.edge_path(colour, src, u)))
-        paths = nxt
+        for symbols, src in frontier:
+            for u in out_list[src]:
+                edge = edges.get((colour, src, u))
+                if edge is None:
+                    edge = edges[colour, src, u] = list(
+                        _symbols(sk.edge_path(colour, src, u), plan.nu_cells)
+                    )
+                nxt.append((_run_plan(bd, plan, symbols, edge), u))
+        frontier = nxt
+    cells = _layout(tile, n).cells
+    paths = [Path(tile, n, tuple(zip(cells, symbols))) for symbols, _ in frontier]
     if strict and len(paths) != expected:
         raise InvariantViolation(
             f"enumerated {len(paths)} paths of degree {n}, expected {expected}"

@@ -5,6 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from tilegraphs import (
     InconsistentInput,
+    InvariantViolation,
     OutOfRange,
     Path,
     SizeLimit,
@@ -30,7 +31,8 @@ from tilegraphs.checks import (
     check_commuting_squares,
     check_unique_factorisation,
 )
-from tilegraphs.lattice import box
+from tilegraphs.data import Alphabet, BasicData, vertex_from_labels
+from tilegraphs.lattice import box, p_add, p_leq
 from tilegraphs.limits import Limits
 
 TRIPOD = parse_tile([(0, 0), (1, 0), (0, 1)])
@@ -490,3 +492,188 @@ class TestAxiomSuites:
 def test_translate_union_matches_path_domain(ledrappier, ledrappier_sk):
     lam = all_paths(ledrappier, (2, 2), skeleton=ledrappier_sk)[0]
     assert frozenset(lam.as_dict()) == translate_union(ledrappier.tile, (2, 2)).points
+
+
+# -- the slow definitional twin of the planned path core ----------------------
+#
+# Dict-based composition, slicing, windows and enumeration, written straight
+# from the definitions: every call rebuilds its labelling and the translate
+# union.  The library composes from cached per-(tile, degree) layouts and fill
+# plans; it must give the same labels and raise the same errors.
+
+
+def twin_window(lam, m):
+    d = lam.as_dict()
+    return vertex_from_labels(lam.tile, {t: d[p_add(t, m)] for t in lam.tile.points})
+
+
+def twin_compose(bd, mu, nu):
+    tile = bd.tile
+    if twin_window(mu, mu.degree) != twin_window(nu, (0, 0)):
+        raise SourceRangeMismatch(
+            "cannot compose: source window of the first path differs from "
+            "the range window of the second"
+        )
+    dmu, dnu = mu.degree, nu.degree
+    total = p_add(dmu, dnu)
+    labels = mu.as_dict()
+    for p, s in nu.labels:
+        q = p_add(p, dmu)
+        if labels.get(q, s) != s:
+            raise InvariantViolation(
+                f"operands disagree at {q} although their windows match"
+            )
+        labels[q] = s
+    if bd.degenerate:
+        for cell in box((0, 0), total):
+            labels.setdefault(cell, bd.distinguished)
+        return Path.make(tile, total, labels)
+
+    def fill(cell, base, forward):
+        missing = tile.translate(base) - frozenset(labels) - {cell}
+        if missing:
+            raise InvariantViolation(
+                f"cannot fill {cell}: window at {base} is missing {sorted(missing)}"
+            )
+        pattern = tuple(labels[p_add(t, base)] for t in tile.sorted_reduced)
+        if forward:
+            labels[cell] = bd.f(pattern, labels[p_add(base, tile.corner_ul)])
+        else:
+            labels[cell] = bd.f_inv(pattern, labels[p_add(base, tile.corner_br)])
+
+    c1, c2 = tile.c1, tile.c2
+    for x in range(c1 + dmu[0] + 1, c1 + total[0] + 1):
+        for y in range(dmu[1] - 1, -1, -1):
+            fill((x, y), (x - c1, y), True)
+    for y in range(c2 + dmu[1] + 1, c2 + total[1] + 1):
+        for x in range(dmu[0] - 1, -1, -1):
+            fill((x, y), (x, y - c2), False)
+    if frozenset(labels) != translate_union(tile, total).points:
+        raise InvariantViolation("corner filling did not produce the full translate union")
+    return Path.make(tile, total, labels)
+
+
+def twin_factorize(lam, m, n):
+    if not (p_leq((0, 0), m) and p_leq(m, n) and p_leq(n, lam.degree)):
+        raise OutOfRange(f"slice ({m}, {n}) is not within degree {lam.degree}")
+    d = lam.as_dict()
+    sub = (n[0] - m[0], n[1] - m[1])
+    cells = translate_union(lam.tile, sub).points
+    return Path.make(lam.tile, sub, {i: d[p_add(i, m)] for i in cells})
+
+
+def twin_enumerate(bd, v, n, sk):
+    if bd.degenerate:
+        return [Path.make(bd.tile, n, {c: bd.distinguished for c in box((0, 0), n)})]
+    paths = [Path.from_vertex(bd.tile, v)]
+    for colour in ("blue",) * n[0] + ("red",) * n[1]:
+        nxt = []
+        for lam in paths:
+            src = sk.index[twin_window(lam, lam.degree)]
+            for u in sk.out_neighbours(colour, src):
+                nxt.append(twin_compose(bd, lam, sk.edge_path(colour, src, u)))
+        paths = nxt
+    return paths
+
+
+def outcome(fn, *args):
+    """A call's result, or its exception's type and message."""
+    try:
+        return fn(*args)
+    except Exception as err:  # the twin and the library must fail alike
+        return type(err), str(err)
+
+
+def corrupt(bd, how):
+    """The same data with one table row broken, or its last symbol dropped
+    from the alphabet, as ``how`` says; built without validation."""
+    if how is None or bd.degenerate:
+        return bd
+    table, inv = dict(bd.bijections), dict(bd.inverses)
+    pat = sorted(table)[-1]
+    if how == "non-bijective":
+        table[pat] = inv[pat] = (bd.alphabet.symbols[0],) * len(bd.alphabet)
+    elif how == "missing-pattern":
+        del table[pat], inv[pat]
+    alphabet = bd.alphabet
+    if how == "unknown-symbol":
+        # The paths keep reading the last symbol; the data no longer knows it.
+        alphabet = Alphabet(alphabet.symbols[:-1])
+    return BasicData(bd.tile, alphabet, table, inv, bd.distinguished)
+
+
+ONE_CELL = validate_basic_data(parse_tile([(0, 0)]), ["0", "1"], None, "1")
+
+
+@st.composite
+def core_cases(draw):
+    """Data, a range vertex, a total degree up to (2, 2), a split of it, and
+    a table corruption applied only when composing."""
+    bd = draw(
+        st.one_of(
+            small_data(),
+            small_data(("0", "1", "2")),
+            st.sampled_from([staircase_data(), tall_staircase_data(), ONE_CELL]),
+        )
+    )
+    d = draw(st.tuples(st.integers(0, 2), st.integers(0, 2)))
+    m = draw(st.tuples(st.integers(0, d[0]), st.integers(0, d[1])))
+    how = draw(st.sampled_from([None, "non-bijective", "missing-pattern", "unknown-symbol"]))
+    return bd, draw(st.integers(0, 63)), d, m, how
+
+
+class TestPlannedCoreAgainstTwin:
+    @given(core_cases())
+    @settings(max_examples=40, deadline=None)
+    @example((ONE_CELL, 0, (2, 2), (1, 1), None))
+    @example((tall_staircase_data(), 3, (2, 2), (1, 1), "unknown-symbol"))
+    @example((staircase_data(), 5, (2, 1), (1, 1), "missing-pattern"))
+    def test_compose_slices_and_windows_match_the_twin(self, case):
+        bd, vi, d, m, how = case
+        sk = build_skeleton(bd)
+        bad = corrupt(bd, how)
+        v = sk.vertices[vi % len(sk.vertices)]
+        dnu = (d[0] - m[0], d[1] - m[1])
+        nus = all_paths(bd, dnu, skeleton=sk)
+        composites = []
+        for mu in enumerate_paths(bd, v, m, skeleton=sk):
+            matched = [nu for nu in nus if nu.range_vertex == mu.source_vertex]
+            mismatched = [nu for nu in nus if nu.range_vertex != mu.source_vertex]
+            for nu in matched + mismatched[:2]:
+                got = outcome(compose, bad, mu, nu)
+                assert got == outcome(twin_compose, bad, mu, nu)
+                composites.append(got)
+        # Every window and slice of the first composite, and slices that
+        # leave its degree.
+        for lam in [c for c in composites if isinstance(c, Path)][:1]:
+            for a in box((0, 0), d):
+                assert lam.window(a) == twin_window(lam, a)
+                for b in box(a, d):
+                    assert factorize(lam, a, b) == twin_factorize(lam, a, b)
+            for a, b in (((0, 0), (d[0] + 1, d[1])), (d, (0, 0)), ((-1, 0), d)):
+                assert outcome(factorize, lam, a, b) == outcome(twin_factorize, lam, a, b)
+
+    @given(core_cases())
+    @settings(max_examples=30, deadline=None)
+    @example((corrupted_ledrappier_data(), 1, (2, 2), (0, 0), None))
+    def test_enumeration_matches_the_twin(self, case):
+        # The skeleton of the valid data, walked under the corrupted tables.
+        bd, vi, d, _, how = case
+        sk = build_skeleton(bd, check=False)
+        bad = corrupt(bd, how)
+        v = sk.vertices[vi % len(sk.vertices)]
+        got = outcome(enumerate_paths, bad, v, d, sk, Limits(), False)
+        assert got == outcome(twin_enumerate, bad, v, d, sk)
+
+    def test_malformed_operands_are_rejected(self, ledrappier, ledrappier_sk):
+        mu = ledrappier_sk.edge_path("blue", 0, 1)
+        nu = ledrappier_sk.edge_path("red", 1, 3)
+        for bad in (
+            Path(mu.tile, mu.degree, mu.labels[:-1]),
+            Path(mu.tile, mu.degree, mu.labels[::-1]),
+            Path(mu.tile, (2, 0), mu.labels),
+        ):
+            with pytest.raises(InvariantViolation):
+                compose(ledrappier, bad, nu)
+            with pytest.raises(InvariantViolation):
+                factorize(bad, (0, 0), (0, 0))
