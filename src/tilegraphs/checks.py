@@ -16,15 +16,17 @@ degree, with each vertex still meeting ``|A| ** (c1 + c2)`` partners.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
-from .data import BasicData, vertex_from_labels
+from .data import BasicData
 from .errors import SizeLimit, TileGraphError
 from .graph import (
     BLUE,
+    COLOUR_AXIS,
     RED,
     Path,
     Skeleton,
@@ -32,8 +34,9 @@ from .graph import (
     build_skeleton,
     compose,
     factorize,
+    path_count,
 )
-from .lattice import ORIGIN, Point, box, p_add, p_sub, translate_union
+from .lattice import ORIGIN, Point, box, p_add, p_sub, translate_union, unit
 from .limits import DEFAULT_LIMITS, Limits
 
 
@@ -56,26 +59,17 @@ def brute_force_paths(
     """
     tile = bd.tile
     cells = translate_union(tile, n).sorted_points
-    # Translation preserves lexicographic order, so each window's cells are
-    # listed in step with the tile's own sorted points.
-    windows = [
-        [p_add(t, k) for t in tile.sorted_points] for k in box(ORIGIN, n)
-    ]
-    last_cell_windows: dict[Point, list[list[Point]]] = {}
-    for cs in windows:
-        last_cell_windows.setdefault(cs[-1], []).append(cs)
+    # Window offsets keyed by their window's last cell: translation keeps
+    # the tile's lexicographic order, so that cell is its last sorted point.
+    last_cell_windows: dict[Point, list[Point]] = {}
+    for k in box(ORIGIN, n):
+        last_cell_windows.setdefault(p_add(tile.sorted_points[-1], k), []).append(k)
 
     out: list[Path] = []
     labels: dict[Point, str] = {}
 
     def ok_at(cell: Point) -> bool:
-        for cs in last_cell_windows.get(cell, []):
-            v = vertex_from_labels(
-                tile, dict(zip(tile.sorted_points, (labels[c] for c in cs)))
-            )
-            if not bd.is_vertex(v):
-                return False
-        return True
+        return bd.bad_window(labels, last_cell_windows.get(cell, ())) is None
 
     def rec(i: int) -> None:
         if i == len(cells):
@@ -106,25 +100,21 @@ def check_vertex_count(bd: BasicData, sk: Skeleton) -> CheckResult:
 
 
 def check_degree_counts(bd: BasicData, sk: Skeleton) -> CheckResult:
-    """Each vertex needs |A|^c2 blue and |A|^c1 red edges, in and out."""
-    if bd.degenerate:
-        want = {BLUE: 1, RED: 1}
-    else:
-        a = len(bd.alphabet)
-        want = {BLUE: a**bd.tile.c2, RED: a**bd.tile.c1}
+    """Each vertex needs |A|^c2 blue and |A|^c1 red edges, in and out: the
+    number of paths of the edge's degree from a fixed vertex."""
+    want = {colour: path_count(bd, unit(axis)) for colour, axis in COLOUR_AXIS.items()}
     for colour in (BLUE, RED):
-        m = sk.matrix(colour)
-        bad_out = np.flatnonzero(m.sum(axis=1) != want[colour])
-        bad_in = np.flatnonzero(m.sum(axis=0) != want[colour])
-        if bad_out.size or bad_in.size:
-            i = int(bad_out[0]) if bad_out.size else int(bad_in[0])
-            return CheckResult(
-                "degree-counts",
-                False,
-                f"vertex {i} violates the {colour} degree count "
-                f"(expected {want[colour]})",
-                counterexample=sk.vertices[i],
-            )
+        for end in (0, 1):  # out-degrees, then in-degrees
+            count = Counter(e[end] for e in sk.edges(colour))
+            bad = [i for i in range(len(sk.vertices)) if count[i] != want[colour]]
+            if bad:
+                return CheckResult(
+                    "degree-counts",
+                    False,
+                    f"vertex {bad[0]} violates the {colour} degree count "
+                    f"(expected {want[colour]})",
+                    counterexample=sk.vertices[bad[0]],
+                )
     return CheckResult(
         "degree-counts",
         True,
@@ -154,7 +144,7 @@ def check_commuting_squares(bd: BasicData, sk: Skeleton) -> CheckResult:
             f"{int(br[v, u])} chains from vertex {v} to {u}, expected at most 1",
             counterexample=(sk.vertices[v], sk.vertices[u]),
         )
-    want = 1 if bd.degenerate else len(bd.alphabet) ** (bd.tile.c1 + bd.tile.c2)
+    want = path_count(bd, (1, 1))
     if (br.sum(axis=1) != want).any():
         v = int(np.flatnonzero(br.sum(axis=1) != want)[0])
         return CheckResult(
@@ -192,6 +182,10 @@ def check_unique_factorisation(
     """
     try:
         sk = sk if sk is not None else build_skeleton(bd, limits, check=False)
+        # Per degree: its paths, and the same by range vertex.  Box order
+        # reaches every degree below ``d`` before ``d``, so a split's operands
+        # are enumerated already, once each, and failures surface as before.
+        enumerated: dict[Point, tuple[list[Path], dict]] = {}
         for d in box(ORIGIN, degree):
             chained = all_paths(bd, d, skeleton=sk, limits=limits, strict=False)
             brute = brute_force_paths(bd, d, limits=limits)
@@ -206,6 +200,10 @@ def check_unique_factorisation(
                     f"degree {d} ({len(chain_set)} vs {len(brute_set)})",
                     counterexample=odd,
                 )
+            by_range: dict = {}
+            for nu in chained:
+                by_range.setdefault(nu.range_vertex, []).append(nu)
+            enumerated[d] = chained, by_range
             for m in box(ORIGIN, d):
                 n = p_sub(d, m)
                 for lam in brute:
@@ -219,11 +217,9 @@ def check_unique_factorisation(
                         )
                 # Composable pairs in (mu, nu) enumeration order: each mu
                 # meets the nu's whose range is its source, in their order.
-                by_range: dict = {}
-                for nu in all_paths(bd, n, skeleton=sk, limits=limits, strict=False):
-                    by_range.setdefault(nu.range_vertex, []).append(nu)
+                by_range = enumerated[n][1]
                 seen: dict[tuple, tuple] = {}
-                for mu in all_paths(bd, m, skeleton=sk, limits=limits, strict=False):
+                for mu in enumerated[m][0]:
                     for nu in by_range.get(mu.source_vertex, ()):
                         lam = compose(bd, mu, nu)
                         if lam.labels in seen:

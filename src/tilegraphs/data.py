@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     MissingPattern,
@@ -32,7 +32,7 @@ from .errors import (
     UnknownSymbol,
     ValidationError,
 )
-from .lattice import Point, Tile
+from .lattice import ORIGIN, Point, Tile
 from .limits import DEFAULT_LIMITS, Limits
 
 PatternT = tuple[str, ...]
@@ -158,12 +158,24 @@ class BasicData:
 
     def is_vertex(self, v: Vertex) -> bool:
         """Whether a tile labelling is one of this data's vertices."""
+        return self.bad_window(v.as_dict(), [ORIGIN]) is None
+
+    def bad_window(
+        self, labels: Mapping[Point, str], offsets: Iterable[Point]
+    ) -> Point | None:
+        """The first offset ``k`` whose window ``tile + k`` of ``labels`` is
+        no vertex (an unknown symbol or pattern counts as none), else None."""
         if self.degenerate:
-            return v.labels == (((0, 0), self.distinguished),)
-        try:
-            return v.corner == self.f(v.pattern, v.top)
-        except (MissingPattern, UnknownSymbol):
-            return False
+            return next((k for k in offsets if labels[k] != self.distinguished), None)
+        tile, table, index = self.tile, self.bijections, self.alphabet._index
+        reduced = tile.sorted_reduced
+        (ux, uy), (bx, by) = tile.corner_ul, tile.corner_br
+        for kx, ky in offsets:
+            row = table.get(tuple([labels[(x + kx, y + ky)] for x, y in reduced]))
+            i = index.get(labels[(ux + kx, uy + ky)])
+            if row is None or i is None or row[i] != labels[(bx + kx, by + ky)]:
+                return kx, ky
+        return None
 
 
 def validate_basic_data(

@@ -249,30 +249,12 @@ def build_skeleton(
         ]
     sk = Skeleton(bd, vertices, tuple(edges[BLUE]), tuple(edges[RED]), index)
     if check:
-        _check_degree_counts(sk)
+        from .checks import check_degree_counts  # checks imports this module
+
+        result = check_degree_counts(bd, sk)
+        if not result.ok:
+            raise InvariantViolation(result.detail)
     return sk
-
-
-def _check_degree_counts(sk: Skeleton) -> None:
-    """Every vertex must have |A|^c2 blue and |A|^c1 red edges, both ways."""
-    bd = sk.basic_data
-    if bd.degenerate:
-        want_blue = want_red = 1
-    else:
-        want_blue = len(bd.alphabet) ** bd.tile.c2
-        want_red = len(bd.alphabet) ** bd.tile.c1
-    for colour, want in ((BLUE, want_blue), (RED, want_red)):
-        outs = [0] * len(sk.vertices)
-        ins = [0] * len(sk.vertices)
-        for v, u in sk.edges(colour):
-            outs[v] += 1
-            ins[u] += 1
-        for i, (o, n) in enumerate(zip(outs, ins)):
-            if o != want or n != want:
-                raise InvariantViolation(
-                    f"vertex {i} has {o} outgoing / {n} incoming {colour} "
-                    f"edges, expected {want}"
-                )
 
 
 def to_dot(sk: Skeleton) -> str:
@@ -314,16 +296,6 @@ def _forced_symbol(bd: BasicData, values, step: tuple) -> str:
     _, pattern, key, forward = step
     rule = bd.f if forward else bd.f_inv
     return rule(tuple([values[k] for k in pattern]), values[key])
-
-
-def _check_windows(bd: BasicData, labels: Mapping[Point, str]) -> None:
-    region = frozenset(labels)
-    for k in contained_translates(bd.tile, region):
-        v = vertex_from_labels(bd.tile, {t: labels[p_add(t, k)] for t in bd.tile.points})
-        if not bd.is_vertex(v):
-            raise InconsistentInput(
-                f"the window at offset {k} is not a vertex of the data"
-            )
 
 
 def fill_corner_br(
@@ -368,7 +340,9 @@ def _fill_corner(
             raise ValueError(
                 f"labels must cover the window at {k}; missing {sorted(missing)}"
             )
-    _check_windows(bd, labels)
+    k = bd.bad_window(labels, contained_translates(tile, have))
+    if k is not None:
+        raise InconsistentInput(f"the window at offset {k} is not a vertex of the data")
     step = _corner_step(tile, p_add(n, (1, -1)) if forward else n, forward)
     target = step[0]
     if target in have:

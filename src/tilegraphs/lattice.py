@@ -101,6 +101,7 @@ class Tile:
     reduced: frozenset[Point]
     degenerate: bool
     sorted_points: tuple[Point, ...] = field(repr=False)
+    sorted_reduced: tuple[Point, ...] = field(repr=False, compare=False)
 
     @property
     def corner_br(self) -> Point:
@@ -111,10 +112,6 @@ class Tile:
     def corner_ul(self) -> Point:
         """Upper-left extreme corner ``c2 * e2``."""
         return (0, self.c2)
-
-    @property
-    def sorted_reduced(self) -> tuple[Point, ...]:
-        return tuple(sorted(self.reduced))
 
     def translate(self, n: Point) -> frozenset[Point]:
         return frozenset(p_add(p, n) for p in self.points)
@@ -182,6 +179,7 @@ def parse_tile(points: Iterable[Point], limits: Limits = DEFAULT_LIMITS) -> Tile
         reduced=reduced,
         degenerate=degenerate,
         sorted_points=tuple(sorted(pts)),
+        sorted_reduced=tuple(sorted(reduced)),
     )
 
 

@@ -20,10 +20,10 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .data import BasicData, vertex_from_labels
+from .data import BasicData
 from .errors import InvariantViolation, NotAdmissible, RegionShapeMismatch
 from .graph import Path, Skeleton, all_paths, path_count
-from .lattice import Point, contained_translates, p_add, p_sub, translate_union
+from .lattice import Point, contained_translates, p_sub, translate_union
 from .limits import DEFAULT_LIMITS, Limits
 
 COUNT_BITS = 512
@@ -70,13 +70,8 @@ def window_admissible(bd: BasicData, config: WindowConfig) -> bool:
 
     Vacuously true when no translate of the tile fits inside the region.
     """
-    labels = config.as_dict()
-    tile = bd.tile
-    for k in contained_translates(tile, config.region):
-        v = vertex_from_labels(tile, {t: labels[p_add(t, k)] for t in tile.points})
-        if not bd.is_vertex(v):
-            return False
-    return True
+    offsets = contained_translates(bd.tile, config.region)
+    return bd.bad_window(config.as_dict(), offsets) is None
 
 
 def path_to_config(path: Path) -> WindowConfig:
@@ -112,10 +107,9 @@ def config_to_path(bd: BasicData, config: WindowConfig) -> Path:
         raise RegionShapeMismatch(
             "region is not a translate union of the tile"
         )
-    for k in contained_translates(tile, pts):
-        v = vertex_from_labels(tile, {t: labels[p_add(t, k)] for t in tile.points})
-        if not bd.is_vertex(v):
-            raise NotAdmissible(f"the window at offset {k} is not a vertex")
+    k = bd.bad_window(labels, contained_translates(tile, pts))
+    if k is not None:
+        raise NotAdmissible(f"the window at offset {k} is not a vertex")
     return Path.make(tile, n, labels)
 
 

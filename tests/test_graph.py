@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -6,13 +7,19 @@ from hypothesis import example, given, settings, strategies as st
 from tilegraphs import (
     InconsistentInput,
     InvariantViolation,
+    MissingPattern,
+    NotAdmissible,
     OutOfRange,
     Path,
     SizeLimit,
+    Skeleton,
     SourceRangeMismatch,
+    UnknownSymbol,
+    ValidationError,
     all_paths,
     build_skeleton,
     compose,
+    config_to_path,
     edge_condition,
     enumerate_paths,
     factorize,
@@ -25,14 +32,17 @@ from tilegraphs import (
     translate_union,
     validate_basic_data,
     validate_prw,
+    window_admissible,
 )
 from tilegraphs.checks import (
     check_associativity,
     check_commuting_squares,
+    check_degree_counts,
     check_unique_factorisation,
 )
 from tilegraphs.data import Alphabet, BasicData, vertex_from_labels
-from tilegraphs.lattice import box, p_add, p_leq
+from tilegraphs.lattice import box, contained_translates, p_add, p_leq
+from tilegraphs.shifts import WindowConfig
 from tilegraphs.limits import Limits
 
 TRIPOD = parse_tile([(0, 0), (1, 0), (0, 1)])
@@ -175,6 +185,41 @@ class TestSkeleton:
                 if all(vd[m] == ud[(m[0] - e[0], m[1] - e[1])] for m in ov)
             )
             assert sk.edges(colour) == pairwise_edges(bd, sk, colour) == defined
+
+    @pytest.mark.parametrize("rewire", [False, True])
+    def test_one_degree_check_guards_the_build(self, rewire):
+        # build_skeleton(check=True) raises the degree check's own detail,
+        # which names the first vertex an edge count here finds short or
+        # long: out-degrees first, then in-degrees, blue before red.
+        bd = corrupted_ledrappier_data()
+        sk = build_skeleton(bd, check=False)
+        if rewire:
+            # Valid data without the blue edge 3 -> 0 and the red edge
+            # 0 -> 0: blue vertex 3 is short of out-edges, while blue vertex
+            # 0 (in) and red vertex 0 (both ways) come earlier in other orders.
+            bd = ledrappier_data()
+            sk = build_skeleton(bd)
+            blue = tuple(e for e in sk.blue if e != (3, 0))
+            red = tuple(e for e in sk.red if e != (0, 0))
+            sk = Skeleton(bd, sk.vertices, blue, red, sk.index)
+        first = None
+        for colour in ("blue", "red"):
+            for end in (0, 1):
+                count = Counter(e[end] for e in sk.edges(colour))
+                bad = [i for i in range(len(sk.vertices)) if count[i] != 2]
+                if bad and first is None:
+                    first = bad[0], colour
+        assert first == ((3, "blue") if rewire else (0, "blue"))
+        result = check_degree_counts(bd, sk)
+        assert not result.ok
+        assert result.detail == (
+            f"vertex {first[0]} violates the {first[1]} degree count (expected 2)"
+        )
+        assert result.counterexample == sk.vertices[first[0]]
+        if not rewire:
+            with pytest.raises(InvariantViolation) as err:
+                build_skeleton(bd, check=True)
+            assert str(err.value) == result.detail
 
     def test_join_matches_the_pairwise_scan_on_256_vertices(self):
         bd = import_prw(modular_rule([(0, 0), (1, 0), (2, 0), (0, 1), (0, 2)]))
@@ -454,6 +499,22 @@ class TestAxiomSuites:
         assert "degree-counts" in failed
         assert "unique-factorisation" in failed
 
+    def test_unique_factorisation_enumerates_each_degree_once(
+        self, ledrappier, ledrappier_sk, monkeypatch
+    ):
+        import tilegraphs.checks as checks
+
+        calls = Counter()
+        real = checks.all_paths
+
+        def counted(bd, n, *args, **kwargs):
+            calls[n] += 1
+            return real(bd, n, *args, **kwargs)
+
+        monkeypatch.setattr(checks, "all_paths", counted)
+        assert check_unique_factorisation(ledrappier, (2, 2), sk=ledrappier_sk).ok
+        assert calls == Counter(box((0, 0), (2, 2)))
+
     def test_square_pairs_meet_four_partners(self, square, square_sk):
         # The square tile shares a diagonal cell between the two extreme
         # windows of a degree-(1,1) path, so only compatible pairs are
@@ -677,3 +738,117 @@ class TestPlannedCoreAgainstTwin:
                 compose(ledrappier, bad, nu)
             with pytest.raises(InvariantViolation):
                 factorize(bad, (0, 0), (0, 0))
+
+
+# -- the slow definitional twin of the window-admissibility rule ---------------
+#
+# Every window is packaged as a Vertex and tested by the vertex rule as first
+# written, through the public bijection lookup.  The library reads each
+# window's pattern, top and corner straight from the labelling.
+
+
+def twin_is_vertex(bd, v):
+    if bd.degenerate:
+        return v.labels == (((0, 0), bd.distinguished),)
+    try:
+        return v.corner == bd.f(v.pattern, v.top)
+    except (MissingPattern, UnknownSymbol):
+        return False
+
+
+def twin_bad_window(bd, labels):
+    """The first contained offset whose window is no vertex, or None."""
+    tile = bd.tile
+    for k in contained_translates(tile, frozenset(labels)):
+        v = vertex_from_labels(tile, {t: labels[p_add(t, k)] for t in tile.points})
+        assert bd.is_vertex(v) == twin_is_vertex(bd, v)
+        if not twin_is_vertex(bd, v):
+            return k
+    return None
+
+
+def twin_config_to_path(bd, labels, n):
+    """config_to_path on an unshifted labelling of T(n)."""
+    k = twin_bad_window(bd, labels)
+    if k is not None:
+        raise NotAdmissible(f"the window at offset {k} is not a vertex")
+    return Path.make(bd.tile, n, labels)
+
+
+def twin_fill_corner(bd, labels, n, forward):
+    """fill_corner_br (forward) or fill_corner_ul on a labelling that
+    covers both support windows."""
+    tile = bd.tile
+    if bd.degenerate:
+        raise ValidationError("corner filling needs a nondegenerate tile")
+    k = twin_bad_window(bd, labels)
+    if k is not None:
+        raise InconsistentInput(f"the window at offset {k} is not a vertex of the data")
+    base = p_add(n, (1, -1)) if forward else n
+    target = p_add(base, tile.corner_br if forward else tile.corner_ul)
+    if target in labels:
+        return target, labels[target]
+    pattern = tuple(labels[p_add(t, base)] for t in tile.sorted_reduced)
+    if forward:
+        return target, bd.f(pattern, labels[p_add(base, tile.corner_ul)])
+    return target, bd.f_inv(pattern, labels[p_add(base, tile.corner_br)])
+
+
+@st.composite
+def window_cases(draw):
+    """A path of degree up to (2, 2) under possibly corrupted tables, with
+    one cell possibly relabelled, a signed shift, and cells to drop."""
+    bd = draw(
+        st.one_of(
+            small_data(),
+            small_data(("0", "1", "2")),
+            st.sampled_from([staircase_data(), tall_staircase_data(), ONE_CELL]),
+        )
+    )
+    d = draw(st.tuples(st.integers(0, 2), st.integers(0, 2)))
+    sk = build_skeleton(bd)
+    v = sk.vertices[draw(st.integers(0, len(sk.vertices) - 1))]
+    paths = enumerate_paths(bd, v, d, skeleton=sk)
+    labels = paths[draw(st.integers(0, len(paths) - 1))].as_dict()
+    cells = sorted(labels)
+    if draw(st.booleans()):
+        labels[draw(st.sampled_from(cells))] = draw(st.sampled_from(bd.alphabet.symbols))
+    how = draw(st.sampled_from([None, "non-bijective", "missing-pattern", "unknown-symbol"]))
+    shift = draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
+    drop = draw(st.sets(st.sampled_from(cells), max_size=3))
+    return corrupt(bd, how), d, labels, shift, drop
+
+
+class TestBadWindowAgainstTwin:
+    @given(window_cases())
+    @settings(max_examples=60, deadline=None)
+    @example((ONE_CELL, (1, 1), {(0, 0): "1", (0, 1): "0", (1, 0): "1", (1, 1): "1"},
+              (-2, 1), set()))
+    @example((corrupt(staircase_data(), "missing-pattern"), (1, 1),
+              enumerate_paths(staircase_data(), build_skeleton(staircase_data()).vertices[-1],
+                              (1, 1))[0].as_dict(), (0, -3), set()))
+    @example((corrupt(ledrappier_data(), "unknown-symbol"), (2, 1),
+              {c: "1" for c in translate_union(TRIPOD, (2, 1)).points}, (3, -1), set()))
+    def test_admissibility_matches_the_twin(self, case):
+        bd, d, labels, shift, drop = case
+        moved = {p_add(p, shift): s for p, s in labels.items()}
+        config = WindowConfig.make(moved)
+        assert window_admissible(bd, config) == (twin_bad_window(bd, moved) is None)
+        kept = {p: s for p, s in moved.items() if p_add(p, (-shift[0], -shift[1])) not in drop}
+        assert window_admissible(bd, WindowConfig.make(kept)) == (
+            twin_bad_window(bd, kept) is None
+        )
+        assert outcome(config_to_path, bd, config) == outcome(
+            twin_config_to_path, bd, labels, d
+        )
+        # Fill each corner the labelling supports, with the target present
+        # and with it removed.
+        for n in box((0, 1), (d[0] - 1, d[1])):
+            for forward, fill in ((True, fill_corner_br), (False, fill_corner_ul)):
+                base = p_add(n, (1, -1)) if forward else n
+                corner = bd.tile.corner_br if forward else bd.tile.corner_ul
+                without = {p: s for p, s in labels.items() if p != p_add(base, corner)}
+                for given_labels in (labels, without):
+                    assert outcome(fill, bd, given_labels, n) == outcome(
+                        twin_fill_corner, bd, given_labels, n, forward
+                    )
