@@ -6,7 +6,8 @@ They enumerate rather than trust the constructions (paths are re-derived by
 a window-filtering backtracker, independent of edge-chain composition), so
 they also catch deliberately corrupted data that bypassed validation.
 
-On commuting squares: between an ordered vertex pair there is at most one
+On commuting squares, counted per range vertex along the skeleton's
+out-lists: between an ordered vertex pair there is at most one
 degree-(1,1) path, and the blue-red chain count always equals the red-blue
 chain count.  The count is 1 for *every* pair exactly when the tile has no
 cell at or above the diagonal step (``|T| = c1 + c2 + 1``); thicker tiles
@@ -19,8 +20,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from typing import Any
-
-import numpy as np
 
 from .data import BasicData
 from .errors import SizeLimit, TileGraphError
@@ -124,43 +123,42 @@ def check_degree_counts(bd: BasicData, sk: Skeleton) -> CheckResult:
 
 def check_commuting_squares(bd: BasicData, sk: Skeleton) -> CheckResult:
     """Chain counts between every ordered pair: blue-red equals red-blue,
-    no pair has two chains, and every vertex meets |A|^(c1+c2) partners."""
-    b, r = sk.matrix(BLUE), sk.matrix(RED)
-    br, rb = b @ r, r @ b
-    if not (br == rb).all():
-        v, u = map(int, np.argwhere(br != rb)[0])
-        return CheckResult(
-            "commuting-squares",
-            False,
-            f"{int(br[v, u])} blue-red but {int(rb[v, u])} red-blue chains "
-            f"from vertex {v} to {u}",
-            counterexample=(sk.vertices[v], sk.vertices[u]),
-        )
-    if br.size and br.max() > 1:
-        v, u = map(int, np.argwhere(br > 1)[0])
-        return CheckResult(
-            "commuting-squares",
-            False,
-            f"{int(br[v, u])} chains from vertex {v} to {u}, expected at most 1",
-            counterexample=(sk.vertices[v], sk.vertices[u]),
-        )
+    no pair has two chains, and every vertex meets |A|^(c1+c2) partners.
+    Each branch reports its first failure in row-major order, and a pair
+    mismatch anywhere outranks the other two."""
     want = path_count(bd, (1, 1))
-    if (br.sum(axis=1) != want).any():
-        v = int(np.flatnonzero(br.sum(axis=1) != want)[0])
-        return CheckResult(
-            "commuting-squares",
-            False,
-            f"vertex {v} starts {int(br.sum(axis=1)[v])} squares, expected {want}",
-            counterexample=sk.vertices[v],
-        )
-    constant = bool((br == 1).all())
+    out = sk.out_neighbours
+    many = short = None  # the (detail, counterexample) of the later branches
+    for v, vertex in enumerate(sk.vertices):
+        br = Counter(u for w in out(BLUE, v) for u in out(RED, w))  # head -> chains
+        rb = Counter(u for w in out(RED, v) for u in out(BLUE, w))
+        if br != rb:
+            u = min(u for u in br.keys() | rb.keys() if br[u] != rb[u])
+            return CheckResult(
+                "commuting-squares",
+                False,
+                f"{br[u]} blue-red but {rb[u]} red-blue chains "
+                f"from vertex {v} to {u}",
+                counterexample=(vertex, sk.vertices[u]),
+            )
+        two = min((u for u, c in br.items() if c > 1), default=None)
+        if two is not None and many is None:
+            many = (
+                f"{br[two]} chains from vertex {v} to {two}, expected at most 1",
+                (vertex, sk.vertices[two]),
+            )
+        if br.total() != want and short is None:
+            short = f"vertex {v} starts {br.total()} squares, expected {want}", vertex
+    if many or short:
+        return CheckResult("commuting-squares", False, *(many or short))
+    # Every row now holds ``want`` partners once each.
     return CheckResult(
         "commuting-squares",
         True,
         "blue-red and red-blue chain counts agree on every ordered pair"
         + (
             " and every pair is joined exactly once"
-            if constant
+            if want == len(sk.vertices)
             else f"; each vertex meets {want} of {len(sk.vertices)} partners"
         ),
     )
@@ -257,32 +255,28 @@ def check_associativity(
     """(mu nu) rho == mu (nu rho) over all composable edge triples."""
     try:
         sk = sk if sk is not None else build_skeleton(bd, limits, check=False)
-        edges = [
-            sk.edge_path(colour, v, u)
-            for colour in (BLUE, RED)
-            for v, u in sk.edges(colour)
+        # Composable triples are the three-edge chains along the out-lists,
+        # in either colour at each step; each edge path is built once.
+        heads = sk.out_neighbours
+        out = [
+            [(u, sk.edge_path(c, v, u)) for c in (BLUE, RED) for u in heads(c, v)]
+            for v in range(len(sk.vertices))
         ]
-        by_range: dict[tuple, list] = {}
-        by_source: dict[tuple, list] = {}
-        for e in edges:
-            by_range.setdefault(e.range_vertex.labels, []).append(e)
-            by_source.setdefault(e.source_vertex.labels, []).append(e)
         count = 0
-        for nu in edges:
-            # mu composes on the left iff s(mu) == r(nu); rho on the right
-            # iff s(nu) == r(rho).
-            for mu in by_source.get(nu.range_vertex.labels, []):
-                for rho in by_range.get(nu.source_vertex.labels, []):
-                    count += 1
-                    left = compose(bd, compose(bd, mu, nu), rho)
-                    right = compose(bd, mu, compose(bd, nu, rho))
-                    if left.labels != right.labels:
-                        return CheckResult(
-                            "associativity",
-                            False,
-                            "edge triple composes differently in the two orders",
-                            counterexample=(mu, nu, rho),
-                        )
+        for v in range(len(sk.vertices)):
+            for w, mu in out[v]:
+                for x, nu in out[w]:
+                    for _, rho in out[x]:
+                        count += 1
+                        left = compose(bd, compose(bd, mu, nu), rho)
+                        right = compose(bd, mu, compose(bd, nu, rho))
+                        if left.labels != right.labels:
+                            return CheckResult(
+                                "associativity",
+                                False,
+                                "edge triple composes differently in the two orders",
+                                counterexample=(mu, nu, rho),
+                            )
     except SizeLimit:
         raise  # a cap refusal is not an axiom failure
     except TileGraphError as err:

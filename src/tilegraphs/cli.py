@@ -52,6 +52,13 @@ def _parse_degree(text: str) -> tuple[int, int]:
     return (a, b)
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)  # argparse reports a ValueError as an invalid value
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _limits(args) -> Limits:
     return Limits(
         max_tile_cells=args.max_tile_cells,
@@ -252,9 +259,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="tilegraphs",
         description="Tile-generated rank-2 graphs and their shift spaces.",
     )
-    parser.add_argument("--max-tile-cells", type=int, default=64)
-    parser.add_argument("--max-vertices", type=int, default=1024)
-    parser.add_argument("--max-paths", type=int, default=200_000)
+    parser.add_argument("--max-tile-cells", type=_positive_int, default=64)
+    parser.add_argument("--max-vertices", type=_positive_int, default=1024)
+    parser.add_argument("--max-paths", type=_positive_int, default=200_000)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="validate a basic-data file")
@@ -286,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("entropy", help="block counts and entropy terms")
     p.add_argument("file")
-    p.add_argument("--dmax", type=int, default=10)
+    p.add_argument("--dmax", type=_positive_int, default=10)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.set_defaults(func=cmd_entropy)
 
@@ -311,8 +318,9 @@ def main(argv=None) -> int:
     except TileGraphError as err:
         sys.stderr.write(dumps({"error": err.code, "message": str(err)}))
         return err.exit_code
-    except FileNotFoundError as err:
-        sys.stderr.write(dumps({"error": "FileNotFound", "message": str(err)}))
+    except OSError as err:
+        code = type(err).__name__.removesuffix("Error")
+        sys.stderr.write(dumps({"error": code, "message": str(err)}))
         return 2
 
 

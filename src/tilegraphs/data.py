@@ -52,13 +52,13 @@ class Alphabet:
     def __post_init__(self):
         if not self.symbols:
             raise ValidationError("alphabet must be nonempty")
-        if len(set(self.symbols)) != len(self.symbols):
-            raise ValidationError("alphabet symbols must be distinct")
         for s in self.symbols:
             if not isinstance(s, str) or s == "" or "," in s:
                 # Commas are the pattern-key separator; empty symbols would
                 # make keys ambiguous.
                 raise ValidationError(f"invalid alphabet symbol {s!r}")
+        if len(set(self.symbols)) != len(self.symbols):
+            raise ValidationError("alphabet symbols must be distinct")
         # Not a field: equality, hashing and repr stay those of ``symbols``.
         object.__setattr__(self, "_index", {s: i for i, s in enumerate(self.symbols)})
 

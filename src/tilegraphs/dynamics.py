@@ -123,18 +123,13 @@ def find_breaking_cycle(
         return None
     sk = skeleton if skeleton is not None else build_skeleton(bd, limits)
     cands = breaking_cycle_candidates(bd, sk, colour, symbol)
-    cand_set = set(cands)
-    edges = {
-        (v, u) for (v, u) in sk.edges(colour) if v in cand_set and u in cand_set
-    }
-
-    looped = [i for i in cands if (i, i) in edges]
+    looped = [i for i in cands if sk.has_edge(colour, i, i)]
     if len(looped) >= 2:
         return BreakingCycle(
             colour, symbol, 2, tuple(sk.vertices[i] for i in looped)
         )
 
-    cycle = _shortest_cycle(cands, edges)
+    cycle = _shortest_cycle(cands, lambda v: sk.out_neighbours(colour, v))
     if cycle is not None:
         return BreakingCycle(
             colour, symbol, 1, tuple(sk.vertices[i] for i in cycle)
@@ -142,32 +137,29 @@ def find_breaking_cycle(
     return None
 
 
-def _shortest_cycle(nodes: list[int], edges: set[tuple[int, int]]):
-    """Shortest directed cycle of length >= 2 through distinct nodes; the
-    start vertex (and then the path) is chosen in canonical order."""
-    adj: dict[int, list[int]] = {n: [] for n in nodes}
-    for v, u in sorted(edges):
-        if v != u:
-            adj[v].append(u)
+def _shortest_cycle(nodes: list[int], out) -> list[int] | None:
+    """Shortest directed cycle of length >= 2 through distinct ``nodes``
+    along the heads ``out(v)`` (ascending) inside ``nodes``, by a BFS with
+    parent pointers per start: each tree path is then the lexicographically
+    first shortest path, so the first node dequeued with an edge back to the
+    start closes the canonical cycle.  Ties keep the earliest start."""
+    inside = set(nodes)
     best: list[int] | None = None
     for start in nodes:
-        # BFS over simple paths from start back to start.
-        frontier: list[list[int]] = [[start]]
-        found: list[int] | None = None
-        while frontier and found is None:
-            nxt: list[list[int]] = []
-            for path in frontier:
-                for u in adj[path[-1]]:
-                    if u == start and len(path) >= 2:
-                        found = path
-                        break
-                    if u not in path:
-                        nxt.append(path + [u])
-                if found is not None:
-                    break
-            frontier = nxt
-        if found is not None and (best is None or len(found) < len(best)):
-            best = found
+        parent, queue = {start: None}, [start]
+        for v in queue:  # grows while it is read: a FIFO queue
+            heads = out(v)
+            if v != start and start in heads:
+                cycle = [v]
+                while cycle[-1] != start:
+                    cycle.append(parent[cycle[-1]])
+                if best is None or len(cycle) < len(best):
+                    best = cycle[::-1]
+                break
+            for u in heads:
+                if u in inside and u not in parent:
+                    parent[u] = v
+                    queue.append(u)
     return best
 
 
@@ -178,19 +170,13 @@ def validate_breaking_cycle(
     sk = skeleton if skeleton is not None else build_skeleton(bd)
     if len(cert.vertices) < 2 or len(set(cert.vertices)) != len(cert.vertices):
         return False
-    ov = _candidate_overlap(bd, cert.colour)
-    for v in cert.vertices:
-        d = v.as_dict()
-        if not all(d[m] == cert.symbol for m in ov):
-            return False
-    edge_set = set(sk.edges(cert.colour))
+    cands = breaking_cycle_candidates(bd, sk, cert.colour, cert.symbol)
+    if not set(cert.vertices) <= {sk.vertices[i] for i in cands}:
+        return False
     idx = [sk.index[v] for v in cert.vertices]
-    if cert.kind == 2:
-        return all((i, i) in edge_set for i in idx)
-    if cert.kind == 1:
-        k = len(idx)
-        return all((idx[i], idx[(i + 1) % k]) in edge_set for i in range(k))
-    return False
+    # Kind 1 needs the cycle's edges, kind 2 a self-loop at every vertex.
+    links = {1: zip(idx, idx[1:] + idx[:1]), 2: zip(idx, idx)}.get(cert.kind)
+    return links is not None and all(sk.has_edge(cert.colour, v, u) for v, u in links)
 
 
 def aperiodicity_verdict(
@@ -250,32 +236,24 @@ def colour_subgraph_cycles(sk: Skeleton, colour: str) -> list[list[int]]:
         edge of the colour (the subgraph is then no permutation).
     """
     n = len(sk.vertices)
-    succ: dict[int, int] = {}
-    pred_count = [0] * n
-    for v, u in sk.edges(colour):
-        if v in succ:
+    heads = [sk.out_neighbours(colour, v) for v in range(n)]
+    for v, hs in enumerate(heads):
+        if len(hs) > 1:
             raise InvariantViolation(
                 f"vertex {v} has more than one outgoing {colour} edge"
             )
-        succ[v] = u
-        pred_count[u] += 1
-    if len(succ) != n or any(c != 1 for c in pred_count):
+    if sorted(u for hs in heads for u in hs) != list(range(n)):
         raise InvariantViolation(
             f"the {colour} subgraph is not a disjoint union of cycles"
         )
-    seen = [False] * n
-    cycles = []
+    cycles, seen = [], set()
     for start in range(n):
-        if seen[start]:
-            continue
-        cyc = [start]
-        seen[start] = True
-        cur = succ[start]
-        while cur != start:
-            cyc.append(cur)
-            seen[cur] = True
-            cur = succ[cur]
-        cycles.append(cyc)
+        if start not in seen:
+            cyc = [start]
+            while heads[cyc[-1]][0] != start:
+                cyc.append(heads[cyc[-1]][0])
+            seen.update(cyc)
+            cycles.append(cyc)
     return cycles
 
 
@@ -362,40 +340,35 @@ def strong_connectivity(
     nverts = len(sk.vertices)
     degree = (k, k)
     if path_count(bd, degree) * nverts <= limits.max_paths:
-        for v in sk.vertices:
-            reached = {
-                lam.source_vertex
-                for lam in enumerate_paths(bd, v, degree, skeleton=sk, limits=limits)
-            }
+        # Unique factorisation: sources of v's (k,k)-paths end its k-blue-k-red chains.
+        for v in range(nverts):
+            reached = {v}
+            for colour in (BLUE,) * k + (RED,) * k:
+                reached = {u for w in reached for u in sk.out_neighbours(colour, w)}
             if len(reached) != nverts:
                 raise InvariantViolation(
-                    f"vertex {sk.index[v]} does not reach every vertex by a "
+                    f"vertex {v} does not reach every vertex by a "
                     f"degree-{degree} path"
                 )
         return ConnectivityResult(True, k, "exhaustive")
-    ok = _bfs_strongly_connected(sk)
-    if not ok:
+    if not _bfs_strongly_connected(sk):
         raise InvariantViolation("the skeleton is not strongly connected")
     return ConnectivityResult(True, k, "bfs")
 
 
 def _bfs_strongly_connected(sk: Skeleton) -> bool:
     n = len(sk.vertices)
-    fwd: list[list[int]] = [[] for _ in range(n)]
+    fwd = [sk.out_neighbours(BLUE, v) + sk.out_neighbours(RED, v) for v in range(n)]
     bwd: list[list[int]] = [[] for _ in range(n)]
-    for colour in (BLUE, RED):
-        for v, u in sk.edges(colour):
-            fwd[v].append(u)
+    for v, heads in enumerate(fwd):
+        for u in heads:
             bwd[u].append(v)
 
     def reach(adj):
-        seen = {0}
-        stack = [0]
-        while stack:
-            for u in adj[stack.pop()]:
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
+        seen = frontier = {0}
+        while frontier:
+            frontier = {u for w in frontier for u in adj[w]} - seen
+            seen = seen | frontier
         return len(seen) == n
 
     return reach(fwd) and reach(bwd)

@@ -31,8 +31,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Mapping
 
-import numpy as np
-
 from .data import BasicData, Vertex, vertex_from_labels
 from .errors import (
     InconsistentInput,
@@ -191,7 +189,10 @@ class Skeleton:
     def has_edge(self, colour: str, v: int, u: int) -> bool:
         return u in self._adjacency(colour)[v]
 
-    def matrix(self, colour: str) -> np.ndarray:
+    def matrix(self, colour: str):
+        """The dense 0/1 int64 numpy adjacency matrix; only it imports numpy."""
+        import numpy as np
+
         n = len(self.vertices)
         m = np.zeros((n, n), dtype=np.int64)
         for v, u in self.edges(colour):

@@ -43,6 +43,21 @@ def _parse_point_key(key: str) -> Point:
         raise ValidationError(f"bad point key {key!r}, expected 'x,y'") from None
 
 
+def _typed(value, kind: type, what: str):
+    """``value`` if it has the JSON type ``kind``; a boolean is no integer."""
+    if isinstance(value, kind) and not isinstance(value, bool):
+        return value
+    raise ValidationError(what)
+
+
+def _tile(doc: dict, limits: Limits):
+    what = "'tile' must be a list of [x, y] integer pairs"
+    cells = [_typed(p, list, what) for p in _typed(doc["tile"], list, what)]
+    if any(len(p) != 2 for p in cells):
+        raise ValidationError(what)
+    return parse_tile([[_typed(c, int, what) for c in p] for p in cells], limits)
+
+
 def basic_data_from_dict(doc: dict, limits: Limits = DEFAULT_LIMITS) -> BasicData:
     from .data import validate_basic_data
 
@@ -51,10 +66,13 @@ def basic_data_from_dict(doc: dict, limits: Limits = DEFAULT_LIMITS) -> BasicDat
     for field in ("alphabet", "tile"):
         if field not in doc:
             raise ValidationError(f"basic data document is missing {field!r}")
-    tile = parse_tile((tuple(p) for p in doc["tile"]), limits=limits)
+    tile = _tile(doc, limits)
+    what = "'bijections' must map pattern keys to lists of symbols"
+    for row in _typed(doc.get("bijections") or {}, dict, what).values():
+        _typed(row, list, what)
     return validate_basic_data(
         tile,
-        doc["alphabet"],
+        _typed(doc["alphabet"], list, "'alphabet' must be a list of symbols"),
         doc.get("bijections"),
         distinguished=doc.get("distinguished"),
         limits=limits,
@@ -82,16 +100,22 @@ def prw_from_dict(doc: dict, limits: Limits = DEFAULT_LIMITS) -> PrwParams:
     for field in ("tile", "q", "t", "w"):
         if field not in doc:
             raise ValidationError(f"rule document is missing {field!r}")
-    tile = parse_tile((tuple(p) for p in doc["tile"]), limits=limits)
-    w = {_parse_point_key(k): int(v) for k, v in doc["w"].items()}
-    return validate_prw(tile, int(doc["q"]), int(doc["t"]), w)
+    tile = _tile(doc, limits)
+    what = "'w' must map point keys to integer weights"
+    w = {
+        _parse_point_key(k): _typed(v, int, what)
+        for k, v in _typed(doc["w"], dict, what).items()
+    }
+    q, t = (_typed(doc[f], int, f"{f!r} must be an integer") for f in ("q", "t"))
+    return validate_prw(tile, q, t, w)
 
 
 def load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
+        # Bad JSON and bad UTF-8 raise ValueError, deep nesting RecursionError.
         try:
             return json.load(fh)
-        except json.JSONDecodeError as err:
+        except (ValueError, RecursionError) as err:
             raise ValidationError(f"{path}: not valid JSON ({err})") from None
 
 

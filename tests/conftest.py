@@ -1,12 +1,35 @@
+import itertools
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
-from tilegraphs import build_skeleton
+from tilegraphs import build_skeleton, parse_tile, validate_basic_data
 from tilegraphs.serialize import basic_data_from_dict
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
+
+
+@st.composite
+def small_data(draw, symbols=("0", "1")):
+    """Random data on a random tile of at most four cells."""
+    pts = draw(
+        st.sampled_from(
+            [
+                [(0, 0), (1, 0)],
+                [(0, 0), (0, 1)],
+                [(0, 0), (1, 0), (0, 1)],
+                [(0, 0), (1, 0), (2, 0), (0, 1)],
+                [(0, 0), (1, 0), (0, 1), (1, 1)],
+            ]
+        )
+    )
+    tile = parse_tile(pts)
+    table = {}
+    for pat in itertools.product(symbols, repeat=len(tile.reduced)):
+        table[",".join(pat)] = list(draw(st.permutations(symbols)))
+    return validate_basic_data(tile, list(symbols), table)
 
 
 def load_corpus(name):

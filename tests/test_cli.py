@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from tilegraphs.cli import main
 
 from conftest import DATA_DIR
@@ -271,3 +273,71 @@ def test_repeated_runs_are_byte_identical(capsys):
             assert code == 0
             outputs.add((tuple(argv), capsys.readouterr().out))
     assert len(outputs) == 3
+
+
+TRIPOD = [[0, 0], [1, 0], [0, 1]]
+LEDRAPPIER_DOC = {
+    "alphabet": ["0", "1"],
+    "tile": TRIPOD,
+    "bijections": {"0": ["0", "1"], "1": ["1", "0"]},
+}
+RULE_DOC = {"tile": TRIPOD, "q": 2, "t": 0, "w": {"0,0": 1, "1,0": 1, "0,1": 1}}
+
+
+@pytest.mark.parametrize(
+    "command,change",
+    [
+        ("validate", {"tile": [[0]]}),
+        ("validate", {"tile": 5}),
+        ("validate", {"tile": [[0, 0], [1, 0], [0, True]]}),
+        ("validate", {"bijections": [1, 2]}),
+        ("validate", {"bijections": {"0": "01", "1": ["1", "0"]}}),
+        ("validate", {"alphabet": "01"}),
+        ("validate", {"alphabet": [["0"], ["1"]]}),
+        ("import-prw", {"w": [1]}),
+        ("import-prw", {"w": {"0,0": "1", "1,0": 1, "0,1": 1}}),
+        ("import-prw", {"q": "x"}),
+        ("import-prw", {"tile": 5}),
+    ],
+    ids=lambda x: x if isinstance(x, str) else json.dumps(x),
+)
+def test_malformed_document_exits_2(capsys, tmp_path, command, change):
+    base = LEDRAPPIER_DOC if command == "validate" else RULE_DOC
+    f = tmp_path / "doc.json"
+    f.write_text(json.dumps({**base, **change}))
+    code, out, err = run(capsys, command, str(f))
+    assert code == 2 and out == ""
+    assert "error" in json.loads(err)
+
+
+@pytest.mark.parametrize(
+    "contents",
+    [None, b"\xff\xfe{}", b"[" * 100_000],
+    ids=["directory", "not-utf8", "deeply-nested"],
+)
+def test_unreadable_input_exits_2(capsys, tmp_path, contents):
+    f = tmp_path / "input"
+    if contents is None:
+        f.mkdir()
+    else:
+        f.write_bytes(contents)
+    code, out, err = run(capsys, "validate", str(f))
+    assert code == 2 and out == ""
+    assert "error" in json.loads(err)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["entropy", LEDRAPPIER, "--dmax", "0"],
+        ["entropy", LEDRAPPIER, "--dmax", "-3"],
+        ["entropy", LEDRAPPIER, "--dmax", "x"],
+        ["--max-paths", "0", "verify", LEDRAPPIER],
+        ["--max-vertices", "0", "validate", LEDRAPPIER],
+        ["--max-tile-cells", "-1", "validate", LEDRAPPIER],
+    ],
+    ids=lambda argv: " ".join(a for a in argv if a != LEDRAPPIER),
+)
+def test_bad_arguments_exit_2(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 2 and out == ""

@@ -1,11 +1,15 @@
 import itertools
+import time
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from tilegraphs import (
     AperiodicityStatus,
     DegenerateTile,
+    InvariantViolation,
     SizeLimit,
+    Skeleton,
     build_skeleton,
     colour_subgraph_cycles,
     cross_validate_prw,
@@ -22,10 +26,12 @@ from tilegraphs import (
     validate_prw,
     aperiodicity_verdict,
 )
-from tilegraphs.dynamics import breaking_cycle_candidates
+from tilegraphs.dynamics import _shortest_cycle, breaking_cycle_candidates
 from tilegraphs.graph import BLUE, RED
 from tilegraphs.lattice import ORIGIN, box, p_meet
 from tilegraphs.limits import Limits
+
+from conftest import small_data
 
 
 def labelling(v):
@@ -359,3 +365,166 @@ class TestSimplicityReport:
         assert report.verdict.status is AperiodicityStatus.PERIODIC_FLAT
         assert report.strongly_connected and report.connectivity_degree == 1
         assert report.flags["simple"] is False
+
+
+# -- the old searches, kept as twins -----------------------------------------
+
+
+def simple_path_shortest_cycle(nodes, edges):
+    """The cycle search as first written: a BFS over simple paths from each
+    start, exponential in the worst case."""
+    adj = {n: [] for n in nodes}
+    for v, u in sorted(edges):
+        if v != u:
+            adj[v].append(u)
+    best = None
+    for start in nodes:
+        frontier = [[start]]
+        found = None
+        while frontier and found is None:
+            nxt = []
+            for path in frontier:
+                for u in adj[path[-1]]:
+                    if u == start and len(path) >= 2:
+                        found = path
+                        break
+                    if u not in path:
+                        nxt.append(path + [u])
+                if found is not None:
+                    break
+            frontier = nxt
+        if found is not None and (best is None or len(found) < len(best)):
+            best = found
+    return best
+
+
+def heads_of(edges):
+    return lambda v: sorted(u for w, u in edges if w == v)
+
+
+@st.composite
+def digraphs(draw):
+    """Up to 9 nodes with self-loops allowed, and the candidate subset."""
+    n = draw(st.integers(1, 9))
+    pairs = list(itertools.product(range(n), repeat=2))
+    edges = draw(st.sets(st.sampled_from(pairs), max_size=3 * n))
+    nodes = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    return nodes, edges
+
+
+class TestShortestCycle:
+    @given(digraphs())
+    @settings(max_examples=300, deadline=None)
+    @example(([0, 1, 2, 3], {(0, 1), (1, 0), (2, 3), (3, 2)}))  # tie between starts
+    @example(([0, 1, 2], {(0, 2), (0, 1), (1, 0), (2, 0), (0, 0)}))  # tie within one
+    @example(([0, 2], {(0, 1), (1, 2), (2, 0), (2, 2), (0, 2)}))  # 1 is no candidate
+    def test_matches_the_simple_path_search(self, graph):
+        nodes, edges = graph
+        inside = {(v, u) for v, u in edges if v in nodes and u in nodes}
+        want = simple_path_shortest_cycle(nodes, inside)
+        assert _shortest_cycle(nodes, heads_of(edges)) == want
+
+    def test_wide_layered_graph_is_polynomial(self):
+        # Two nodes per layer, each joined to both nodes of the next layer:
+        # 2**60 simple paths, so the old search never ends.
+        layers = 60
+        edges = {
+            (2 * i + a, 2 * (i + 1) + b)
+            for i in range(layers - 1)
+            for a in (0, 1)
+            for b in (0, 1)
+        }
+        nodes = list(range(2 * layers))
+        t0 = time.perf_counter()
+        assert _shortest_cycle(nodes, heads_of(edges)) is None
+        # One edge back from the last layer closes 2**59 shortest cycles;
+        # the canonical one runs through the first node of every layer.
+        closed = edges | {(2 * (layers - 1), 0)}
+        assert _shortest_cycle(nodes, heads_of(closed)) == list(range(0, 2 * layers, 2))
+        assert time.perf_counter() - t0 < 5.0
+
+
+def flat_rewired(sk, blue):
+    return Skeleton(sk.basic_data, sk.vertices, tuple(sorted(blue)), sk.red, sk.index)
+
+
+class TestColourSubgraphCycles:
+    def test_two_outgoing_edges_are_named_first(self, flat_sk):
+        # Vertex 0 loses its edge and vertex 2 gains a second one: the
+        # two-edge vertex is reported, whatever comes earlier.
+        (v0,) = [e for e in flat_sk.blue if e[0] == 0]
+        extra = next((2, u) for u in range(4) if (2, u) not in flat_sk.blue)
+        sk = flat_rewired(flat_sk, (set(flat_sk.blue) - {v0}) | {extra})
+        with pytest.raises(InvariantViolation) as err:
+            colour_subgraph_cycles(sk, BLUE)
+        assert str(err.value) == "vertex 2 has more than one outgoing blue edge"
+
+    def test_a_vertex_without_edges(self, flat_sk):
+        sk = flat_rewired(flat_sk, [e for e in flat_sk.blue if e[0] != 1])
+        with pytest.raises(InvariantViolation) as err:
+            colour_subgraph_cycles(sk, BLUE)
+        assert str(err.value) == "the blue subgraph is not a disjoint union of cycles"
+
+
+def enumerated_connectivity(bd, sk, limits=Limits()):
+    """The exhaustive branch as first written: the sources of every vertex's
+    enumerated degree-(k,k) paths, ``strict=False`` so that a rewired
+    skeleton's missing chains show as missing sources."""
+    k = 1
+    while (k, k) in bd.tile.points:
+        k += 1
+    degree = (k, k)
+    for v in sk.vertices:
+        paths = enumerate_paths(bd, v, degree, skeleton=sk, limits=limits, strict=False)
+        if len({lam.source_vertex for lam in paths}) != len(sk.vertices):
+            raise InvariantViolation(
+                f"vertex {sk.index[v]} does not reach every vertex by a "
+                f"degree-{degree} path"
+            )
+    return k
+
+
+def connectivity_outcome(fn, bd, sk):
+    try:
+        return fn(bd, sk)
+    except InvariantViolation as err:
+        return str(err)
+
+
+def exhaustive_k(bd, sk):
+    result = strong_connectivity(bd, skeleton=sk)
+    assert result.method == "exhaustive"
+    return result.k
+
+
+class TestConnectivityAgainstEnumeration:
+    @pytest.mark.parametrize("name", ["ledrappier", "square", "rem3", "flat"])
+    def test_bundled_graphs(self, name, request):
+        bd = request.getfixturevalue(name)
+        sk = request.getfixturevalue(f"{name}_sk")
+        assert exhaustive_k(bd, sk) == enumerated_connectivity(bd, sk)
+
+    @given(small_data())
+    @settings(max_examples=20, deadline=None)
+    def test_small_data(self, bd):
+        sk = build_skeleton(bd)
+        assert connectivity_outcome(exhaustive_k, bd, sk) == connectivity_outcome(
+            enumerated_connectivity, bd, sk
+        )
+
+    @pytest.mark.parametrize(
+        "colour,edge,first",
+        [
+            (BLUE, (3, 0), 3),  # vertex 3 loses one of its two blue first steps
+            (RED, (2, 0), 1),  # 2 -> 0 ends chains from 1 and 2, blue tails of 2
+        ],
+    )
+    def test_rewired_skeleton_misses_a_target(self, ledrappier_sk, colour, edge, first):
+        message = f"vertex {first} does not reach every vertex by a degree-(1, 1) path"
+        sk = ledrappier_sk
+        blue = tuple(e for e in sk.blue if (BLUE, e) != (colour, edge))
+        red = tuple(e for e in sk.red if (RED, e) != (colour, edge))
+        sk = Skeleton(sk.basic_data, sk.vertices, blue, red, sk.index)
+        bd = sk.basic_data
+        assert connectivity_outcome(exhaustive_k, bd, sk) == message
+        assert connectivity_outcome(enumerated_connectivity, bd, sk) == message

@@ -1,4 +1,7 @@
 import itertools
+import os
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -35,6 +38,7 @@ from tilegraphs import (
     window_admissible,
 )
 from tilegraphs.checks import (
+    CheckResult,
     check_associativity,
     check_commuting_squares,
     check_degree_counts,
@@ -45,6 +49,9 @@ from tilegraphs.lattice import box, contained_translates, p_add, p_leq
 from tilegraphs.shifts import WindowConfig
 from tilegraphs.limits import Limits
 
+from conftest import DATA_DIR, small_data
+
+ROOT = DATA_DIR.parent
 TRIPOD = parse_tile([(0, 0), (1, 0), (0, 1)])
 LEDRAPPIER_TABLE = {"0": ["0", "1"], "1": ["1", "0"]}
 
@@ -97,27 +104,6 @@ def tall_staircase_data():
         for p in itertools.product("01", repeat=3)
     }
     return validate_basic_data(tile, ["0", "1"], table)
-
-
-@st.composite
-def small_data(draw, symbols=("0", "1")):
-    """Random data on a random tile of at most four cells."""
-    pts = draw(
-        st.sampled_from(
-            [
-                [(0, 0), (1, 0)],
-                [(0, 0), (0, 1)],
-                [(0, 0), (1, 0), (0, 1)],
-                [(0, 0), (1, 0), (2, 0), (0, 1)],
-                [(0, 0), (1, 0), (0, 1), (1, 1)],
-            ]
-        )
-    )
-    tile = parse_tile(pts)
-    table = {}
-    for pat in itertools.product(symbols, repeat=len(tile.reduced)):
-        table[",".join(pat)] = list(draw(st.permutations(symbols)))
-    return validate_basic_data(tile, list(symbols), table)
 
 
 class TestSkeleton:
@@ -471,7 +457,9 @@ class TestEnumeratePaths:
 
 class TestAxiomSuites:
     def test_commuting_squares_ledrappier(self, ledrappier, ledrappier_sk):
-        assert check_commuting_squares(ledrappier, ledrappier_sk).ok
+        result = squares_match_the_twin(ledrappier_sk)
+        assert result.ok
+        assert result.detail.endswith("and every pair is joined exactly once")
 
     def test_associativity_ledrappier(self, ledrappier, ledrappier_sk):
         result = check_associativity(ledrappier, sk=ledrappier_sk)
@@ -519,14 +507,14 @@ class TestAxiomSuites:
         # The square tile shares a diagonal cell between the two extreme
         # windows of a degree-(1,1) path, so only compatible pairs are
         # joined; the chain-count identity still holds.
-        result = check_commuting_squares(square, square_sk)
+        result = squares_match_the_twin(square_sk)
         assert result.ok
-        assert "4 of 8 partners" in result.detail
+        assert result.detail.endswith("; each vertex meets 4 of 8 partners")
 
     @given(small_data())
     @settings(max_examples=15, deadline=None)
     def test_commuting_squares_hold_generally(self, bd):
-        assert check_commuting_squares(bd, build_skeleton(bd)).ok
+        assert squares_match_the_twin(build_skeleton(bd)).ok
 
     @pytest.mark.parametrize("factory", [staircase_data, tall_staircase_data])
     def test_staircase_axiom_suites(self, factory):
@@ -852,3 +840,134 @@ class TestBadWindowAgainstTwin:
                     assert outcome(fill, bd, given_labels, n) == outcome(
                         twin_fill_corner, bd, given_labels, n, forward
                     )
+
+
+# -- the dense-matrix twin of the commuting-squares check ---------------------
+
+
+def twin_commuting_squares(bd, sk):
+    """The check as first written: the dense products ``B @ R`` and ``R @ B``
+    of the skeleton's adjacency matrices."""
+    import numpy as np
+
+    b, r = sk.matrix("blue"), sk.matrix("red")
+    br, rb = b @ r, r @ b
+    if not (br == rb).all():
+        v, u = map(int, np.argwhere(br != rb)[0])
+        return CheckResult(
+            "commuting-squares",
+            False,
+            f"{int(br[v, u])} blue-red but {int(rb[v, u])} red-blue chains "
+            f"from vertex {v} to {u}",
+            counterexample=(sk.vertices[v], sk.vertices[u]),
+        )
+    if br.size and br.max() > 1:
+        v, u = map(int, np.argwhere(br > 1)[0])
+        return CheckResult(
+            "commuting-squares",
+            False,
+            f"{int(br[v, u])} chains from vertex {v} to {u}, expected at most 1",
+            counterexample=(sk.vertices[v], sk.vertices[u]),
+        )
+    want = path_count(bd, (1, 1))
+    if (br.sum(axis=1) != want).any():
+        v = int(np.flatnonzero(br.sum(axis=1) != want)[0])
+        return CheckResult(
+            "commuting-squares",
+            False,
+            f"vertex {v} starts {int(br.sum(axis=1)[v])} squares, expected {want}",
+            counterexample=sk.vertices[v],
+        )
+    constant = bool((br == 1).all())
+    return CheckResult(
+        "commuting-squares",
+        True,
+        "blue-red and red-blue chain counts agree on every ordered pair"
+        + (
+            " and every pair is joined exactly once"
+            if constant
+            else f"; each vertex meets {want} of {len(sk.vertices)} partners"
+        ),
+    )
+
+
+def rewired(sk, blue, red):
+    """``sk`` with the given edge sets, built without any check."""
+    return Skeleton(
+        sk.basic_data, sk.vertices, tuple(sorted(blue)), tuple(sorted(red)), sk.index
+    )
+
+
+def squares_match_the_twin(sk):
+    bd = sk.basic_data
+    fast, slow = check_commuting_squares(bd, sk), twin_commuting_squares(bd, sk)
+    assert (fast.ok, fast.detail) == (slow.ok, slow.detail)
+    assert fast.counterexample == slow.counterexample
+    return fast
+
+
+# Blue equal to red: B R == R B, so only the later branches can fail.  Vertex
+# 1 reaches 0 through both 2 and 3, while vertex 0's row is one short.
+TWO_CHAINS = {(0, 1), (1, 2), (1, 3), (2, 0), (3, 0), (2, 1)}
+# Blue equal to red, every pair joined at most once, row sums 4, 4, 2, 0.
+SHORT_ROW = {(0, 0), (0, 2), (0, 3), (1, 0), (1, 2), (2, 1)}
+LEDRAPPIER_PAIRS = list(itertools.product(range(4), repeat=2))
+
+
+class TestCommutingSquaresAgainstTwin:
+    @pytest.mark.parametrize(
+        "blue,red,detail",
+        [
+            # Without the blue edge 3 -> 0 the first unequal pair is (1, 0):
+            # vertex 1's red edge to 3 no longer continues in blue to 0.
+            (
+                "drop-3-0",
+                None,
+                "1 blue-red but 0 red-blue chains from vertex 1 to 0",
+            ),
+            (TWO_CHAINS, TWO_CHAINS, "2 chains from vertex 1 to 0, expected at most 1"),
+            (SHORT_ROW, SHORT_ROW, "vertex 2 starts 2 squares, expected 4"),
+        ],
+        ids=["blue-red-differs", "two-chains", "row-sum"],
+    )
+    def test_failure_branches(self, ledrappier_sk, blue, red, detail):
+        sk = ledrappier_sk
+        if blue == "drop-3-0":
+            blue, red = set(sk.blue) - {(3, 0)}, sk.red
+        result = squares_match_the_twin(rewired(sk, blue, red))
+        assert not result.ok
+        assert result.detail == detail
+
+    @given(
+        st.sets(st.sampled_from(LEDRAPPIER_PAIRS)),
+        st.one_of(st.none(), st.sets(st.sampled_from(LEDRAPPIER_PAIRS))),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_random_rewiring(self, ledrappier_sk, blue, red):
+        # ``None`` copies blue into red, which keeps the first branch quiet.
+        red = blue if red is None else red
+        squares_match_the_twin(rewired(ledrappier_sk, blue, red))
+
+    def test_256_vertex_modular_rule(self):
+        bd = import_prw(modular_rule([(0, 0), (1, 0), (2, 0), (0, 1), (0, 2)]))
+        assert squares_match_the_twin(build_skeleton(bd)).ok
+
+
+def test_only_the_matrix_imports_numpy(square_sk):
+    # Importing the CLI loads every module; numpy must stay out of it.
+    probe = "import sys, tilegraphs.cli; print('numpy' in sys.modules)"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+    for colour in ("blue", "red"):
+        m = square_sk.matrix(colour)
+        assert m.dtype.name == "int64" and m.shape == (8, 8)
+        ones = [(int(v), int(u)) for v, u in zip(*m.nonzero())]
+        assert ones == list(square_sk.edges(colour)) and m.sum() == len(ones)
