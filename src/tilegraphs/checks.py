@@ -252,22 +252,37 @@ def check_associativity(
     sk: Skeleton | None = None,
     limits: Limits = DEFAULT_LIMITS,
 ) -> CheckResult:
-    """(mu nu) rho == mu (nu rho) over all composable edge triples."""
+    """(mu nu) rho == mu (nu rho) over all composable edge triples.
+
+    Each triple is a path of total degree 3, so more triples than
+    ``limits.max_paths`` raise :class:`SizeLimit` before any compose.
+    """
     try:
         sk = sk if sk is not None else build_skeleton(bd, limits, check=False)
         # Composable triples are the three-edge chains along the out-lists,
-        # in either colour at each step; each edge path is built once.
+        # in either colour at each step.  Counting the chains of each length
+        # from every vertex takes O(E) per length.
         heads = sk.out_neighbours
+        vertices = range(len(sk.vertices))
+        succ = [heads(BLUE, v) + heads(RED, v) for v in vertices]
+        chains = [1] * len(succ)
+        for _ in range(3):
+            chains = [sum(chains[u] for u in succ[v]) for v in vertices]
+        count = sum(chains)
+        if count > limits.max_paths:
+            raise SizeLimit(
+                f"associativity: {count} composable edge triples exceed the "
+                f"path cap of {limits.max_paths}"
+            )
+        # Each edge path is built once.
         out = [
             [(u, sk.edge_path(c, v, u)) for c in (BLUE, RED) for u in heads(c, v)]
-            for v in range(len(sk.vertices))
+            for v in vertices
         ]
-        count = 0
-        for v in range(len(sk.vertices)):
+        for v in vertices:
             for w, mu in out[v]:
                 for x, nu in out[w]:
                     for _, rho in out[x]:
-                        count += 1
                         left = compose(bd, compose(bd, mu, nu), rho)
                         right = compose(bd, mu, compose(bd, nu, rho))
                         if left.labels != right.labels:

@@ -20,8 +20,8 @@ import sys
 from .checks import run_axiom_suite
 from .data import import_prw, prw_vertex_labellings
 from .dynamics import AperiodicityStatus, simplicity_report
-from .errors import TileGraphError
-from .graph import build_skeleton, edge_condition, to_dot
+from .errors import TileGraphError, ValidationError
+from .graph import COLOUR_AXIS, _pairwise_edges, build_skeleton, to_dot
 from .limits import Limits
 from .serialize import (
     basic_data_from_dict,
@@ -53,7 +53,10 @@ def _parse_degree(text: str) -> tuple[int, int]:
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)  # argparse reports a ValueError as an invalid value
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return value
@@ -173,29 +176,17 @@ def cmd_import_prw(args) -> int:
     brute_budget = params.q ** len(params.tile.points)
     if brute_budget <= limits.max_paths:
         oracle = prw_vertex_labellings(params, limits=limits)
-        ours = [v.as_dict() for v in sk.vertices]
-        vertices_match = sorted(map(sorted, (d.items() for d in oracle))) == sorted(
-            map(sorted, (d.items() for d in ours))
-        )
+        keys = [tuple(d[p] for p in bd.tile.sorted_points) for d in oracle]
+        vertices_match = sorted(keys) == sorted(v.symbols for v in sk.vertices)
         edges_match = True
         if vertices_match and not bd.degenerate:
-            from .data import vertex_from_labels
-
-            oracle_vs = [vertex_from_labels(bd.tile, d) for d in oracle]
-            pos = {v.labels: i for i, v in enumerate(oracle_vs)}
-            for colour, axis in (("blue", 1), ("red", 2)):
-                want = {
-                    (pos[v.labels], pos[u.labels])
-                    for v in oracle_vs
-                    for u in oracle_vs
-                    if edge_condition(bd.tile, v, u, axis)
-                }
-                have = {
-                    (pos[v.labels], pos[u.labels])
-                    for i, j in sk.edges(colour)
-                    for v, u in [(sk.vertices[i], sk.vertices[j])]
-                }
-                if want != have:
+            # Edges indexed by position in the oracle list, found by the
+            # pairwise scan rather than the skeleton's join.
+            pos = {key: i for i, key in enumerate(keys)}
+            at = [pos[v.symbols] for v in sk.vertices]
+            for colour, axis in COLOUR_AXIS.items():
+                have = {(at[i], at[j]) for i, j in sk.edges(colour)}
+                if set(_pairwise_edges(bd.tile, oracle, axis)) != have:
                     edges_match = False
         summary = {
             "vertices": len(sk.vertices),
@@ -254,8 +245,21 @@ def cmd_verify(args) -> int:
     return 0 if ok else 4
 
 
+class UsageError(ValidationError):
+    """A command line the argument parser rejects."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage problem as :class:`UsageError`, so ``main`` reports it
+    as a JSON diagnostic like every other exit-2 path; subcommand parsers
+    inherit the class."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tilegraphs",
         description="Tile-generated rank-2 graphs and their shift spaces.",
     )
@@ -307,14 +311,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse reports usage problems itself; normalise its exit code.
-        return 2 if exc.code else 0
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # --help, after printing to stdout
+        return 2 if exc.code else 0
     except TileGraphError as err:
         sys.stderr.write(dumps({"error": err.code, "message": str(err)}))
         return err.exit_code

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .data import BasicData, Vertex, vertex_from_labels
 from .errors import (
@@ -146,6 +146,26 @@ def edge_condition(tile: Tile, v: Vertex, u: Vertex, axis: int) -> bool:
     """Whether the degree-``e_axis`` edge from ``v`` to ``u`` exists."""
     vd, ud = v.as_dict(), u.as_dict()
     return all(vd[m] == ud[k] for m, k in _overlap_pairs(tile, axis))
+
+
+def _pairwise_edges(
+    tile: Tile, labellings: Sequence[Mapping[Point, str]], axis: int
+) -> tuple[tuple[int, int], ...]:
+    """Every ordered pair ``(i, j)`` of tile labellings joined by a
+    degree-``e_axis`` edge, in row-major order.
+
+    The :func:`edge_condition` scan over all V² pairs, with each labelling
+    read once: its head key (labels at ``m``) and tail key (labels at
+    ``m - e``) on the overlap, so ``i -> j`` iff ``head[i] == tail[j]``.
+    Beyond the overlap pairs it shares no code with the join in
+    :func:`build_skeleton`, so it can check that join.
+    """
+    pairs = _overlap_pairs(tile, axis)
+    heads = [tuple(d[m] for m, _ in pairs) for d in labellings]
+    tails = [tuple(d[k] for _, k in pairs) for d in labellings]
+    return tuple(
+        (i, j) for i, h in enumerate(heads) for j, t in enumerate(tails) if h == t
+    )
 
 
 @dataclass(eq=False)

@@ -1,8 +1,12 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+import tilegraphs.cli as cli
+from tilegraphs import Skeleton, import_prw, parse_tile, validate_prw
 from tilegraphs.cli import main
+from tilegraphs.serialize import basic_data_to_dict, dumps
 
 from conftest import DATA_DIR
 
@@ -198,6 +202,35 @@ class TestImportPrw:
         assert json.loads(err)["error"] == "NotInvertible"
 
 
+    @pytest.mark.parametrize("colour", ["blue", "red"])
+    @pytest.mark.parametrize("change", ["drop", "add"])
+    def test_edge_mismatch_prints_false(self, capsys, monkeypatch, colour, change):
+        # The oracle must notice a skeleton that lost or gained one edge.
+        real = cli.build_skeleton
+
+        def tampered(bd, limits):
+            sk = real(bd, limits)
+            edges = set(sk.edges(colour))
+            if change == "drop":
+                edges.remove(sk.edges(colour)[-1])
+            else:
+                n = len(sk.vertices)
+                edges.add(next(
+                    (i, j) for i in range(n) for j in range(n) if (i, j) not in edges
+                ))
+            new = {"blue": sk.blue, "red": sk.red, colour: tuple(sorted(edges))}
+            return Skeleton(bd, sk.vertices, new["blue"], new["red"], sk.index)
+
+        monkeypatch.setattr(cli, "build_skeleton", tampered)
+        code, out, _ = run(capsys, "import-prw", PRW_LEDRAPPIER, "--format", "text")
+        assert code == 0
+        assert out.splitlines() == [
+            "imported 4 vertices",
+            "vertex sets equal: True",
+            "edge sets equal: False",
+        ]
+
+
 class TestEntropy:
     def test_csv_rows(self, capsys):
         code, out, _ = run(capsys, "entropy", LEDRAPPIER, "--dmax", "4")
@@ -259,6 +292,20 @@ class TestSizeCaps:
         code, _, err = run(capsys, "--max-paths", "10", "verify", SQUARE)
         assert code == 3
         assert json.loads(err)["error"] == "SizeLimit"
+
+
+    def test_associativity_cap_exits_3(self, capsys, tmp_path):
+        # A 1024-vertex modular rule has 33,554,432 composable edge triples:
+        # verify must refuse them instead of composing for minutes.
+        tile = parse_tile([[0, 0], [1, 0], [2, 0], [0, 1], [1, 1], [0, 2]])
+        w = {p: 1 if p == tile.corner_br else 3 for p in tile.points}
+        f = tmp_path / "cap.json"
+        f.write_text(dumps(basic_data_to_dict(import_prw(validate_prw(tile, 4, 0, w)))))
+        code, out, err = run(capsys, "verify", str(f), "--degree", "0,0")
+        assert code == 3 and out == ""
+        diag = json.loads(err)
+        assert diag["error"] == "SizeLimit"
+        assert diag["message"].startswith("associativity: 33554432 ")
 
 
 def test_repeated_runs_are_byte_identical(capsys):
@@ -335,9 +382,68 @@ def test_unreadable_input_exits_2(capsys, tmp_path, contents):
         ["--max-paths", "0", "verify", LEDRAPPIER],
         ["--max-vertices", "0", "validate", LEDRAPPIER],
         ["--max-tile-cells", "-1", "validate", LEDRAPPIER],
+        ["verify", LEDRAPPIER, "--degree", "nope"],
     ],
     ids=lambda argv: " ".join(a for a in argv if a != LEDRAPPIER),
 )
 def test_bad_arguments_exit_2(capsys, argv):
-    code, out, _ = run(capsys, *argv)
+    code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "UsageError"
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["entropy", "--help"]])
+def test_help_exits_0_on_stdout(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert out.startswith("usage: tilegraphs")
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+# A valid document with some fields replaced, so values also reach the
+# schema checks past the first field.
+NEAR_VALID = st.builds(
+    lambda base, change: {**base, **change},
+    st.sampled_from([LEDRAPPIER_DOC, RULE_DOC]),
+    st.dictionaries(
+        st.sampled_from(["alphabet", "tile", "bijections", "q", "t", "w"]),
+        JSON_VALUES,
+        max_size=2,
+    ),
+)
+SUBCOMMANDS = {
+    "validate": [],
+    "skeleton": ["--format", "json"],
+    "analyze": ["--witness-bound", "0,0"],
+    "import-prw": [],
+    "entropy": ["--dmax", "2"],
+    "verify": ["--degree", "1,1"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+@given(doc=st.one_of(JSON_VALUES, NEAR_VALID))
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_any_json_value_gets_an_exit_code_and_a_diagnostic(
+    capsys, tmp_path, command, doc
+):
+    f = tmp_path / "doc.json"
+    f.write_text(json.dumps(doc))
+    code, _, err = run(
+        capsys,
+        "--max-tile-cells", "8", "--max-vertices", "64", "--max-paths", "2000",
+        command, str(f), *SUBCOMMANDS[command],
+    )
+    assert code in (0, 2, 3)
+    if code:
+        assert "error" in json.loads(err)

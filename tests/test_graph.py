@@ -1,7 +1,9 @@
 import itertools
 import os
+import random
 import subprocess
 import sys
+import time
 from collections import Counter
 
 import pytest
@@ -43,8 +45,10 @@ from tilegraphs.checks import (
     check_commuting_squares,
     check_degree_counts,
     check_unique_factorisation,
+    run_axiom_suite,
 )
 from tilegraphs.data import Alphabet, BasicData, vertex_from_labels
+from tilegraphs.graph import _pairwise_edges
 from tilegraphs.lattice import box, contained_translates, p_add, p_leq
 from tilegraphs.shifts import WindowConfig
 from tilegraphs.limits import Limits
@@ -211,8 +215,47 @@ class TestSkeleton:
         bd = import_prw(modular_rule([(0, 0), (1, 0), (2, 0), (0, 1), (0, 2)]))
         sk = build_skeleton(bd)
         assert len(sk.vertices) == 256
-        for colour in ("blue", "red"):
-            assert sk.edges(colour) == pairwise_edges(bd, sk, colour)
+        labellings = [v.as_dict() for v in sk.vertices]
+        for colour, axis in (("blue", 1), ("red", 2)):
+            defined = pairwise_edges(bd, sk, colour)
+            assert sk.edges(colour) == defined
+            assert _pairwise_edges(bd.tile, labellings, axis) == defined
+            assert len(defined) == 4_096
+
+    @given(
+        st.one_of(small_data(), small_data(("0", "1", "2"))),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=40, deadline=None)
+    @example(validate_basic_data(parse_tile([(0, 0)]), ["0", "1"], None, "0"),
+             random.Random(0))
+    @example(validate_basic_data(parse_tile([(0, 0), (1, 0), (2, 0)]), ["0", "1"],
+                                 {"0": ["0", "1"], "1": ["1", "0"]}),
+             random.Random(1))
+    @example(corrupted_ledrappier_data(), random.Random(2))
+    def test_overlap_key_scan_matches_edge_condition(self, bd, rnd):
+        # The scan behind the import check, on labellings in an arbitrary
+        # order (as the modular-rule oracle lists them), against
+        # edge_condition on every ordered pair of that list.
+        vertices = list(build_skeleton(bd, check=False).vertices)
+        rnd.shuffle(vertices)
+        labellings = [v.as_dict() for v in vertices]
+        for axis in (1, 2):
+            assert _pairwise_edges(bd.tile, labellings, axis) == tuple(
+                (i, j)
+                for i, v in enumerate(vertices)
+                for j, u in enumerate(vertices)
+                if edge_condition(bd.tile, v, u, axis)
+            )
+
+    def test_overlap_key_scan_on_a_flat_tile(self, flat, flat_sk):
+        # The flat row has no red overlap: every ordered pair is a red edge.
+        labellings = [v.as_dict() for v in flat_sk.vertices]
+        n = len(labellings)
+        assert _pairwise_edges(flat.tile, labellings, 2) == tuple(
+            itertools.product(range(n), repeat=2)
+        )
+        assert _pairwise_edges(flat.tile, labellings, 1) == flat_sk.blue
 
     def test_vertex_cap_graph_has_16_edges_per_vertex(self):
         bd = import_prw(
@@ -465,6 +508,37 @@ class TestAxiomSuites:
         result = check_associativity(ledrappier, sk=ledrappier_sk)
         assert result.ok
         assert "256" in result.detail
+
+    @given(small_data())
+    @settings(max_examples=20, deadline=None)
+    def test_associativity_counts_triples_against_the_path_cap(self, bd):
+        # The triple count comes from the out-lists before any compose; here
+        # it is counted again from the edge lists.  A cap at the count
+        # passes, one below it refuses.
+        sk = build_skeleton(bd)
+        edges = sk.blue + sk.red
+        out_degree = Counter(v for v, _ in edges)
+        triples = sum(out_degree[x] for v, w in edges for w2, x in edges if w2 == w)
+        result = check_associativity(bd, sk=sk, limits=Limits(max_paths=triples))
+        assert result.ok
+        assert result.detail == f"all {triples} composable edge triples agree"
+        with pytest.raises(SizeLimit) as err:
+            check_associativity(bd, sk=sk, limits=Limits(max_paths=triples - 1))
+        assert str(err.value) == (
+            f"associativity: {triples} composable edge triples exceed the "
+            f"path cap of {triples - 1}"
+        )
+
+    def test_associativity_refuses_at_the_vertex_cap(self):
+        # 1024 vertices with 32 out-edges each give 32**3 triples per
+        # vertex; the check must refuse them before composing any.
+        bd = import_prw(
+            modular_rule([(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (0, 2)])
+        )
+        t0 = time.perf_counter()
+        with pytest.raises(SizeLimit, match="associativity: 33554432 composable"):
+            run_axiom_suite(bd, degree=(0, 0))
+        assert time.perf_counter() - t0 < 10
 
     def test_unique_factorisation_suite(self, ledrappier, ledrappier_sk):
         assert check_unique_factorisation(
