@@ -6,6 +6,11 @@ They enumerate rather than trust the constructions (paths are re-derived by
 a window-filtering backtracker, independent of edge-chain composition), so
 they also catch deliberately corrupted data that bypassed validation.
 
+Unique factorisation and associativity hash, slice and compose paths as
+symbol tuples in their layout's slot order, through the same cached compose
+plans as :func:`tilegraphs.graph.compose`; a ``Path`` is built only for a
+counterexample.
+
 On commuting squares, counted per range vertex along the skeleton's
 out-lists: between an ordered vertex pair there is at most one
 degree-(1,1) path, and the blue-red chain count always equals the red-blue
@@ -29,13 +34,16 @@ from .graph import (
     RED,
     Path,
     Skeleton,
+    _compose_plan,
+    _compose_symbols,
+    _layout,
+    _slice,
+    _symbols,
     all_paths,
     build_skeleton,
-    compose,
-    factorize,
     path_count,
 )
-from .lattice import ORIGIN, Point, box, p_add, p_sub, translate_union, unit
+from .lattice import ORIGIN, Point, Tile, box, p_add, p_sub, translate_union, unit
 from .limits import DEFAULT_LIMITS, Limits
 
 
@@ -73,9 +81,12 @@ def brute_force_paths(
     def rec(i: int) -> None:
         if i == len(cells):
             out.append(Path.make(tile, n, labels))
+            if len(out) > limits.max_paths:
+                raise SizeLimit(
+                    f"brute force: paths of degree {n} exceed the path cap of "
+                    f"{limits.max_paths}"
+                )
             return
-        if len(out) > limits.max_paths:
-            raise SizeLimit("brute force exceeded the path cap")
         cell = cells[i]
         for s in bd.alphabet.symbols:
             labels[cell] = s
@@ -85,6 +96,11 @@ def brute_force_paths(
 
     rec(0)
     return out
+
+
+def _as_path(tile: Tile, d: Point, symbols: tuple[str, ...]) -> Path:
+    """The degree-``d`` path whose symbols, slot by slot, are ``symbols``."""
+    return Path(tile, d, tuple(zip(_layout(tile, d).cells, symbols)))
 
 
 def check_vertex_count(bd: BasicData, sk: Skeleton) -> CheckResult:
@@ -178,57 +194,67 @@ def check_unique_factorisation(
     the path; (b) composing *all* composable pairs of those degrees hits
     every degree-``d`` path exactly once.
     """
+    tile = bd.tile
     try:
         sk = sk if sk is not None else build_skeleton(bd, limits, check=False)
-        # Per degree: its paths, and the same by range vertex.  Box order
-        # reaches every degree below ``d`` before ``d``, so a split's operands
-        # are enumerated already, once each, and failures surface as before.
-        enumerated: dict[Point, tuple[list[Path], dict]] = {}
+        # Per degree: its paths' symbols, and the same by range window.  Box
+        # order reaches every degree below ``d`` before ``d``, so a split's
+        # operands are enumerated already, once each.
+        enumerated: dict[Point, tuple[list[tuple[str, ...]], dict]] = {}
         for d in box(ORIGIN, degree):
             chained = all_paths(bd, d, skeleton=sk, limits=limits, strict=False)
             brute = brute_force_paths(bd, d, limits=limits)
-            chain_set = {p.labels for p in chained}
-            brute_set = {p.labels for p in brute}
+            layout = _layout(tile, d)
+            chained_symbols = [_symbols(p, layout.cells) for p in chained]
+            brute_symbols = [_symbols(p, layout.cells) for p in brute]
+            chain_set, brute_set = set(chained_symbols), set(brute_symbols)
             if chain_set != brute_set:
-                odd = sorted(chain_set ^ brute_set)[0]
+                # Labels of one degree share their cells, so they sort as
+                # their symbols do.
+                odd = min(chain_set ^ brute_set)
                 return CheckResult(
                     "unique-factorisation",
                     False,
                     f"edge-chain and window-filter path sets differ at "
                     f"degree {d} ({len(chain_set)} vs {len(brute_set)})",
-                    counterexample=odd,
+                    counterexample=tuple(zip(layout.cells, odd)),
                 )
-            by_range: dict = {}
-            for nu in chained:
-                by_range.setdefault(nu.range_vertex, []).append(nu)
-            enumerated[d] = chained, by_range
+            by_range: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
+            for nu in chained_symbols:
+                key = tuple([nu[k] for k in layout.windows[ORIGIN]])
+                by_range.setdefault(key, []).append(nu)
+            enumerated[d] = chained_symbols, by_range
             for m in box(ORIGIN, d):
                 n = p_sub(d, m)
-                for lam in brute:
-                    mu, nu = factorize(lam, ORIGIN, m), factorize(lam, m, d)
-                    if compose(bd, mu, nu).labels != lam.labels:
+                plan = _compose_plan(tile, m, n)
+                mu_slots = _slice(tile, d, ORIGIN, m)[1]
+                nu_slots = _slice(tile, d, m, n)[1]
+                for lam, path in zip(brute_symbols, brute):
+                    mu = tuple([lam[k] for k in mu_slots])
+                    nu = tuple([lam[k] for k in nu_slots])
+                    if _compose_symbols(bd, plan, mu, nu) != lam:
                         return CheckResult(
                             "unique-factorisation",
                             False,
                             f"slice-and-compose failed at degree {d}, split {m}",
-                            counterexample=lam,
+                            counterexample=path,
                         )
                 # Composable pairs in (mu, nu) enumeration order: each mu
                 # meets the nu's whose range is its source, in their order.
                 by_range = enumerated[n][1]
-                seen: dict[tuple, tuple] = {}
+                seen: set[tuple[str, ...]] = set()
                 for mu in enumerated[m][0]:
-                    for nu in by_range.get(mu.source_vertex, ()):
-                        lam = compose(bd, mu, nu)
-                        if lam.labels in seen:
+                    for nu in by_range.get(tuple([mu[k] for k in plan.mu_source]), ()):
+                        lam = _compose_symbols(bd, plan, mu, nu)
+                        if lam in seen:
                             return CheckResult(
                                 "unique-factorisation",
                                 False,
                                 f"two ({m}, {n}) factorisations of one path",
-                                counterexample=lam,
+                                counterexample=_as_path(tile, d, lam),
                             )
-                        seen[lam.labels] = (mu.labels, nu.labels)
-                if set(seen) != brute_set:
+                        seen.add(lam)
+                if seen != brute_set:
                     return CheckResult(
                         "unique-factorisation",
                         False,
@@ -257,6 +283,7 @@ def check_associativity(
     Each triple is a path of total degree 3, so more triples than
     ``limits.max_paths`` raise :class:`SizeLimit` before any compose.
     """
+    tile = bd.tile
     try:
         sk = sk if sk is not None else build_skeleton(bd, limits, check=False)
         # Composable triples are the three-edge chains along the out-lists,
@@ -274,23 +301,45 @@ def check_associativity(
                 f"associativity: {count} composable edge triples exceed the "
                 f"path cap of {limits.max_paths}"
             )
-        # Each edge path is built once.
-        out = [
-            [(u, sk.edge_path(c, v, u)) for c in (BLUE, RED) for u in heads(c, v)]
-            for v in vertices
-        ]
+        # Each edge path is built and read into its symbols once; ``out``
+        # holds (head, edge number) pairs and ``edges`` (degree, symbols).
+        edges: list[tuple[Point, tuple[str, ...]]] = []
+        out: list[list[tuple[int, int]]] = [[] for _ in vertices]
+        for v in vertices:
+            for c in (BLUE, RED):
+                for u in heads(c, v):
+                    e = sk.edge_path(c, v, u)
+                    out[v].append((u, len(edges)))
+                    edges.append((e.degree, _symbols(e, _layout(tile, e.degree).cells)))
+
+        def join(a, b):
+            plan = _compose_plan(tile, a[0], b[0])
+            return plan.total, _compose_symbols(bd, plan, a[1], b[1])
+
+        # Each two-edge composite is built the first time a triple needs it,
+        # as ``mu nu`` or as ``nu rho``, so composes run (and fail) in the
+        # order of the triples, never earlier.
+        two: dict[tuple[int, int], tuple] = {}
+
+        def pair(i, j):
+            if (i, j) not in two:
+                two[i, j] = join(edges[i], edges[j])
+            return two[i, j]
+
         for v in vertices:
             for w, mu in out[v]:
                 for x, nu in out[w]:
                     for _, rho in out[x]:
-                        left = compose(bd, compose(bd, mu, nu), rho)
-                        right = compose(bd, mu, compose(bd, nu, rho))
-                        if left.labels != right.labels:
+                        left = join(pair(mu, nu), edges[rho])
+                        right = join(edges[mu], pair(nu, rho))
+                        if left != right:
                             return CheckResult(
                                 "associativity",
                                 False,
                                 "edge triple composes differently in the two orders",
-                                counterexample=(mu, nu, rho),
+                                counterexample=tuple(
+                                    _as_path(tile, *edges[i]) for i in (mu, nu, rho)
+                                ),
                             )
     except SizeLimit:
         raise  # a cap refusal is not an axiom failure

@@ -21,6 +21,8 @@ slots, each window's slots), and each pair of operand degrees a cached
 compose plan (which slots each operand fills, then the fill steps in the
 order above), so composing, slicing and reading windows index symbol
 tuples instead of rebuilding dicts and translate unions on every call.
+The axiom checks in :mod:`tilegraphs.checks` run the same plans on symbol
+tuples directly, through :func:`_compose_symbols` and :func:`_slice`.
 
 All values here are immutable; building and enumerating paths is pure.
 """
@@ -472,6 +474,25 @@ def _run_plan(bd: BasicData, plan: _ComposePlan, a, b) -> list[str]:
     return out
 
 
+def _compose_symbols(
+    bd: BasicData, plan: _ComposePlan, a: tuple[str, ...], b: tuple[str, ...]
+) -> tuple[str, ...]:
+    """The composite's symbols from operand symbols ``a`` and ``b`` in the
+    slot order of ``plan``'s layouts.
+
+    Raises
+    ------
+    SourceRangeMismatch
+        If ``a``'s source window differs from ``b``'s range window.
+    """
+    if [a[k] for k in plan.mu_source] != [b[k] for k in plan.nu_range]:
+        raise SourceRangeMismatch(
+            "cannot compose: source window of the first path differs from "
+            "the range window of the second"
+        )
+    return tuple(_run_plan(bd, plan, a, b))
+
+
 def compose(bd: BasicData, mu: Path, nu: Path) -> Path:
     """The unique path restricting to ``mu`` at the origin and to ``nu`` at
     offset ``d(mu)``.
@@ -483,12 +504,8 @@ def compose(bd: BasicData, mu: Path, nu: Path) -> Path:
     """
     plan = _compose_plan(bd.tile, mu.degree, nu.degree)
     a, b = _symbols(mu, plan.mu_cells), _symbols(nu, plan.nu_cells)
-    if [a[k] for k in plan.mu_source] != [b[k] for k in plan.nu_range]:
-        raise SourceRangeMismatch(
-            "cannot compose: source window of the first path differs from "
-            "the range window of the second"
-        )
-    return Path(bd.tile, plan.total, tuple(zip(plan.cells, _run_plan(bd, plan, a, b))))
+    symbols = _compose_symbols(bd, plan, a, b)
+    return Path(bd.tile, plan.total, tuple(zip(plan.cells, symbols)))
 
 
 @lru_cache(maxsize=256)

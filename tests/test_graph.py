@@ -19,6 +19,7 @@ from tilegraphs import (
     SizeLimit,
     Skeleton,
     SourceRangeMismatch,
+    TileGraphError,
     UnknownSymbol,
     ValidationError,
     all_paths,
@@ -41,6 +42,7 @@ from tilegraphs import (
 )
 from tilegraphs.checks import (
     CheckResult,
+    brute_force_paths,
     check_associativity,
     check_commuting_squares,
     check_degree_counts,
@@ -574,8 +576,64 @@ class TestAxiomSuites:
             return real(bd, n, *args, **kwargs)
 
         monkeypatch.setattr(checks, "all_paths", counted)
+        brute = Counter()
+        real_brute = checks.brute_force_paths
+
+        def counted_brute(bd, n, *args, **kwargs):
+            brute[n] += 1
+            return real_brute(bd, n, *args, **kwargs)
+
+        monkeypatch.setattr(checks, "brute_force_paths", counted_brute)
         assert check_unique_factorisation(ledrappier, (2, 2), sk=ledrappier_sk).ok
-        assert calls == Counter(box((0, 0), (2, 2)))
+        assert calls == brute == Counter(box((0, 0), (2, 2)))
+
+    @pytest.mark.parametrize("dead", [None, 3], ids=["ledrappier", "dead-end"])
+    def test_associativity_composes_each_two_edge_chain_once(
+        self, ledrappier, ledrappier_sk, monkeypatch, dead
+    ):
+        # Two composes per composable triple, plus one per two-edge chain
+        # that some triple has as mu nu or as nu rho: 2 * 256 + 64 on
+        # ledrappier, where four composes per triple would give 1,024.  With
+        # vertex ``dead`` left without out-edges and vertex 0 without
+        # in-edges, the chains from 0 into ``dead`` are in no triple, so they
+        # are never composed.
+        import tilegraphs.graph as graph
+
+        sk = ledrappier_sk
+        if dead is not None:
+            sk = rewired(
+                sk,
+                *({e for e in es if e[0] != dead and e[1] != 0} for es in (sk.blue, sk.red)),
+            )
+        edges = [(c, v, u) for c in ("blue", "red") for v, u in sk.edges(c)]
+        chains = [(a, b) for a in edges for b in edges if a[2] == b[1]]
+        triples = [(a, b, c) for a, b in chains for c in edges if b[2] == c[1]]
+        needed = {t[:2] for t in triples} | {t[1:] for t in triples}
+        runs = Counter()
+        real = graph._run_plan
+
+        def counted(*args):
+            runs["plan"] += 1
+            return real(*args)
+
+        monkeypatch.setattr(graph, "_run_plan", counted)
+        assert check_associativity(ledrappier, sk=sk).ok
+        assert runs["plan"] == 2 * len(triples) + len(needed)
+        if dead is None:
+            assert runs["plan"] == 2 * 256 + 64
+        else:
+            assert len(needed) < len(chains)
+
+    @pytest.mark.parametrize("cap", [5, 15])
+    def test_brute_force_names_the_degree_and_the_cap(self, ledrappier, cap):
+        # Degree (1, 1) has 4 * 4 = 16 paths: a cap at 16 passes, and any
+        # cap below refuses, one below included.
+        assert len(brute_force_paths(ledrappier, (1, 1), Limits(max_paths=16))) == 16
+        with pytest.raises(SizeLimit) as err:
+            brute_force_paths(ledrappier, (1, 1), Limits(max_paths=cap))
+        assert str(err.value) == (
+            f"brute force: paths of degree (1, 1) exceed the path cap of {cap}"
+        )
 
     def test_square_pairs_meet_four_partners(self, square, square_sk):
         # The square tile shares a diagonal cell between the two extreme
@@ -1045,3 +1103,212 @@ def test_only_the_matrix_imports_numpy(square_sk):
         assert m.dtype.name == "int64" and m.shape == (8, 8)
         ones = [(int(v), int(u)) for v, u in zip(*m.nonzero())]
         assert ones == list(square_sk.edges(colour)) and m.sum() == len(ones)
+
+
+# -- the Path-based twins of the unique-factorisation and associativity checks
+#
+# The checks as first written: every path is a ``Path``, sliced by
+# ``factorize``, joined by the public ``compose`` and bucketed by its range
+# ``Vertex``.  The library runs the same loops over symbol tuples and the
+# cached compose plans, and must return the same results.
+
+
+def twin_unique_factorisation(bd, degree, sk=None, limits=Limits()):
+    try:
+        sk = sk if sk is not None else build_skeleton(bd, limits, check=False)
+        enumerated = {}
+        for d in box((0, 0), degree):
+            chained = all_paths(bd, d, skeleton=sk, limits=limits, strict=False)
+            brute = brute_force_paths(bd, d, limits=limits)
+            chain_set = {p.labels for p in chained}
+            brute_set = {p.labels for p in brute}
+            if chain_set != brute_set:
+                odd = sorted(chain_set ^ brute_set)[0]
+                return CheckResult(
+                    "unique-factorisation",
+                    False,
+                    f"edge-chain and window-filter path sets differ at "
+                    f"degree {d} ({len(chain_set)} vs {len(brute_set)})",
+                    counterexample=odd,
+                )
+            by_range = {}
+            for nu in chained:
+                by_range.setdefault(nu.range_vertex, []).append(nu)
+            enumerated[d] = chained, by_range
+            for m in box((0, 0), d):
+                n = (d[0] - m[0], d[1] - m[1])
+                for lam in brute:
+                    mu, nu = factorize(lam, (0, 0), m), factorize(lam, m, d)
+                    if compose(bd, mu, nu).labels != lam.labels:
+                        return CheckResult(
+                            "unique-factorisation",
+                            False,
+                            f"slice-and-compose failed at degree {d}, split {m}",
+                            counterexample=lam,
+                        )
+                by_range = enumerated[n][1]
+                seen = set()
+                for mu in enumerated[m][0]:
+                    for nu in by_range.get(mu.source_vertex, ()):
+                        lam = compose(bd, mu, nu)
+                        if lam.labels in seen:
+                            return CheckResult(
+                                "unique-factorisation",
+                                False,
+                                f"two ({m}, {n}) factorisations of one path",
+                                counterexample=lam,
+                            )
+                        seen.add(lam.labels)
+                if seen != brute_set:
+                    return CheckResult(
+                        "unique-factorisation",
+                        False,
+                        f"composable ({m}, {n}) pairs do not cover degree {d}",
+                    )
+    except SizeLimit:
+        raise
+    except TileGraphError as err:
+        return CheckResult(
+            "unique-factorisation", False, f"{err.code}: {err}", counterexample=err
+        )
+    return CheckResult(
+        "unique-factorisation",
+        True,
+        f"all splits of all paths of degree <= {degree} factor uniquely",
+    )
+
+
+def twin_associativity(bd, sk=None, limits=Limits()):
+    """Every triple composed four times, with no reuse; the triple count
+    and its cap come from an edge-list count."""
+    try:
+        sk = sk if sk is not None else build_skeleton(bd, limits, check=False)
+        edges = sk.blue + sk.red
+        out_degree = Counter(v for v, _ in edges)
+        count = sum(out_degree[x] for _, w in edges for w2, x in edges if w2 == w)
+        if count > limits.max_paths:
+            raise SizeLimit(
+                f"associativity: {count} composable edge triples exceed the "
+                f"path cap of {limits.max_paths}"
+            )
+        vertices = range(len(sk.vertices))
+        out = [
+            [
+                (u, sk.edge_path(c, v, u))
+                for c in ("blue", "red")
+                for u in sk.out_neighbours(c, v)
+            ]
+            for v in vertices
+        ]
+        for v in vertices:
+            for w, mu in out[v]:
+                for x, nu in out[w]:
+                    for _, rho in out[x]:
+                        left = compose(bd, compose(bd, mu, nu), rho)
+                        right = compose(bd, mu, compose(bd, nu, rho))
+                        if left.labels != right.labels:
+                            return CheckResult(
+                                "associativity",
+                                False,
+                                "edge triple composes differently in the two orders",
+                                counterexample=(mu, nu, rho),
+                            )
+    except SizeLimit:
+        raise
+    except TileGraphError as err:
+        return CheckResult(
+            "associativity", False, f"{err.code}: {err}", counterexample=err
+        )
+    return CheckResult(
+        "associativity", True, f"all {count} composable edge triples agree"
+    )
+
+
+def result_key(result):
+    """A check's outcome with any carried error reduced to type and message."""
+    if isinstance(result, tuple):  # the outcome of a raising call
+        return result
+    cx = result.counterexample
+    if isinstance(cx, Exception):
+        cx = type(cx), str(cx)
+    return result.name, result.ok, result.detail, cx
+
+
+def rewire(sk, how, k):
+    """``sk`` with an edge added at vertex ``k`` (the first missing pair, in
+    blue if any is missing), with every out-edge of ``k`` dropped, or with
+    ``k`` listed a second time, without edges: its paths are then
+    enumerated twice."""
+    if how == "repeated-vertex":
+        vertices = sk.vertices + sk.vertices[k : k + 1]
+        return Skeleton(sk.basic_data, vertices, sk.blue, sk.red, sk.index)
+    blue, red = set(sk.blue), set(sk.red)
+    if how == "extra-edge":
+        for edges in (blue, red):
+            missing = [(k, u) for u in range(len(sk.vertices)) if (k, u) not in edges]
+            if missing:
+                edges.add(missing[0])
+                break
+    elif how == "dead-end":
+        blue = {e for e in blue if e[0] != k}
+        red = {e for e in red if e[0] != k}
+    return rewired(sk, blue, red)
+
+
+FLAT = validate_basic_data(
+    parse_tile([(0, 0), (1, 0), (2, 0)]), ["0", "1"], {"0": ["0", "1"], "1": ["1", "0"]}
+)
+
+
+@st.composite
+def axiom_cases(draw):
+    """Data (possibly corrupted), a check degree up to (2, 2), and the
+    skeleton of the valid data, possibly rewired, or ``None`` for the
+    check to build its own from the data it is given."""
+    bd = draw(
+        st.one_of(
+            small_data(),
+            small_data(("0", "1", "2")),
+            st.sampled_from(
+                [staircase_data(), tall_staircase_data(), ONE_CELL, FLAT,
+                 corrupted_ledrappier_data()]
+            ),
+        )
+    )
+    d = draw(st.tuples(st.integers(0, 2), st.integers(0, 2)))
+    how = draw(
+        st.one_of(
+            st.none(), st.sampled_from(["non-bijective", "missing-pattern", "unknown-symbol"])
+        )
+    )
+    sk = build_skeleton(bd, check=False)
+    wiring = draw(
+        st.sampled_from([None, "extra-edge", "dead-end", "repeated-vertex", "sparse", "own"])
+    )
+    if wiring == "sparse":
+        # A few of the edges, so most vertices have no out-edges.
+        nb = len(sk.blue)
+        keep = draw(st.sets(st.integers(0, nb + len(sk.red) - 1), max_size=6))
+        sk = rewired(
+            sk, {sk.blue[i] for i in keep if i < nb}, {sk.red[i - nb] for i in keep if i >= nb}
+        )
+    k = draw(st.integers(0, 63)) % len(sk.vertices)
+    return corrupt(bd, how), d, None if wiring == "own" else rewire(sk, wiring, k)
+
+
+class TestAxiomChecksAgainstTwin:
+    @given(axiom_cases())
+    @settings(max_examples=60, deadline=None)
+    # Only the chain 0 -> 1 -> 0 meets the missing pattern, and no edge
+    # leaves vertex 0: the twin never composes that chain.
+    @example((corrupt(ledrappier_data(), "missing-pattern"), (1, 1),
+              rewired(build_skeleton(ledrappier_data()), {(0, 1)}, {(0, 1), (2, 0), (3, 3)})))
+    @example((corrupted_ledrappier_data(), (2, 2), None))
+    def test_checks_match_the_twins(self, case):
+        bd, d, sk = case
+        assert result_key(outcome(check_unique_factorisation, bd, d, sk)) == result_key(
+            outcome(twin_unique_factorisation, bd, d, sk)
+        )
+        assert result_key(outcome(check_associativity, bd, sk)) == result_key(
+            outcome(twin_associativity, bd, sk)
+        )
