@@ -74,27 +74,26 @@ def brute_force_paths(
 
     out: list[Path] = []
     labels: dict[Point, str] = {}
-
-    def ok_at(cell: Point) -> bool:
-        return bd.bad_window(labels, last_cell_windows.get(cell, ())) is None
-
-    def rec(i: int) -> None:
-        if i == len(cells):
-            out.append(Path.make(tile, n, labels))
-            if len(out) > limits.max_paths:
-                raise SizeLimit(
-                    f"brute force: paths of degree {n} exceed the path cap of "
-                    f"{limits.max_paths}"
-                )
-            return
-        cell = cells[i]
-        for s in bd.alphabet.symbols:
+    # One symbol iterator per assigned cell: flat tiles outgrow recursion.
+    stack = [iter(bd.alphabet.symbols)]
+    while stack:
+        cell = cells[len(stack) - 1]
+        for s in stack[-1]:  # resumes after the symbol tried last
             labels[cell] = s
-            if ok_at(cell):
-                rec(i + 1)
-        del labels[cell]
-
-    rec(0)
+            if bd.bad_window(labels, last_cell_windows.get(cell, ())) is None:
+                break
+        else:
+            del labels[cell], stack[-1]
+            continue
+        if len(stack) < len(cells):
+            stack.append(iter(bd.alphabet.symbols))
+            continue
+        out.append(Path.make(tile, n, labels))
+        if len(out) > limits.max_paths:
+            raise SizeLimit(
+                f"brute force: paths of degree {n} exceed the path cap of "
+                f"{limits.max_paths}"
+            )
     return out
 
 

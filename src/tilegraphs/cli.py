@@ -19,7 +19,7 @@ import sys
 
 from .checks import run_axiom_suite
 from .data import import_prw, prw_vertex_labellings
-from .dynamics import AperiodicityStatus, simplicity_report
+from .dynamics import AperiodicityStatus, simplicity_report, witness_evidence
 from .errors import TileGraphError, ValidationError
 from .graph import COLOUR_AXIS, _pairwise_edges, build_skeleton, to_dot
 from .limits import Limits
@@ -117,7 +117,7 @@ def cmd_analyze(args) -> int:
     sk = build_skeleton(bd, limits)
     report = simplicity_report(bd, skeleton=sk, limits=limits)
     if report.verdict.status is AperiodicityStatus.UNKNOWN:
-        report.notes.append(_witness_evidence(bd, sk, args.witness_bound, limits))
+        report.notes.append(witness_evidence(bd, sk, args.witness_bound, limits))
     doc = report_to_dict(report)
     if args.format == "text":
         print(f"verdict: {doc['verdict']}")
@@ -132,38 +132,6 @@ def cmd_analyze(args) -> int:
     else:
         sys.stdout.write(dumps(doc))
     return 0
-
-
-def _witness_evidence(bd, sk, bound, limits) -> str:
-    """Bounded witness searches as report evidence when no certificate exists.
-
-    The offset pairs share three depths, so each vertex's paths are
-    enumerated once per depth and tested against every pair of that depth;
-    each list is dropped before the next one is built.
-    """
-    from .dynamics import _first_witness, _witness_depth
-    from .graph import enumerate_paths
-    from .lattice import ORIGIN, p_add, p_join, p_meet
-
-    by_depth: dict = {}
-    for m in [(0, 0), (1, 0), (0, 1), (1, 1)]:
-        for n in [(0, 0), (1, 0), (0, 1), (1, 1)]:
-            if m != n and p_meet(m, n) == ORIGIN:
-                depth = _witness_depth(bd, m, n, p_add(p_join(m, n), bound), limits)
-                by_depth.setdefault(depth, []).append((m, n))
-    found = total = 0
-    for v in sk.vertices:
-        for depth, pairs in by_depth.items():
-            paths = enumerate_paths(bd, v, depth, skeleton=sk, limits=limits)
-            for m, n in pairs:
-                total += 1
-                found += _first_witness(paths, m, n, depth) is not None
-            del paths
-    return (
-        f"bounded witness search (join + {bound}): witnesses found for "
-        f"{found} of {total} (vertex, offset-pair) cases; absence of a "
-        f"witness up to this depth does not establish periodicity"
-    )
 
 
 def cmd_import_prw(args) -> int:

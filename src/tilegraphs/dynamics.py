@@ -12,7 +12,10 @@ so every long path repeats with the period of its cycle decomposition.
 
 An independent semi-decision oracle is provided by the bounded witness
 search: a path whose two slices at offsets ``m`` and ``n`` differ witnesses
-that the pair ``(m, n)`` cannot be a period at the chosen root vertex.
+that the pair ``(m, n)`` cannot be a period at the chosen root vertex.  It
+walks the paths one at a time and stops at the first witness;
+:func:`witness_evidence` runs one search per vertex and offset pair for the
+``analyze`` report of a table without a certificate.
 """
 
 from __future__ import annotations
@@ -29,8 +32,8 @@ from .graph import (
     RED,
     Path,
     Skeleton,
+    _walk_paths,
     build_skeleton,
-    enumerate_paths,
     factorize,
     path_count,
 )
@@ -271,13 +274,40 @@ def periodicity_witness_search(
 
     ``m`` and ``n`` must be distinct with componentwise meet zero (pairs
     with a common part reduce to this case).  ``depth`` defaults to
-    ``m v n + (2, 2)``.  Returns a witness path, or None if every path
-    agrees on the two slices up to this depth; "no witness up to depth"
-    never means "periodic".
+    ``m v n + (2, 2)``.  Returns the first witness in enumeration order,
+    walking no further, or None if every path agrees on the two slices up
+    to this depth; "no witness up to depth" never means "periodic".
     """
     depth = _witness_depth(bd, m, n, depth, limits)
-    paths = enumerate_paths(bd, v, depth, skeleton=skeleton, limits=limits)
-    return _first_witness(paths, m, n, depth)
+    rest = p_sub(depth, p_join(m, n))
+    for lam in _walk_paths(bd, v, depth, skeleton, limits, True):
+        left = factorize(lam, m, p_add(m, rest))
+        if left.labels != factorize(lam, n, p_add(n, rest)).labels:
+            return lam
+    return None
+
+
+def witness_evidence(bd: BasicData, sk: Skeleton, bound: Point, limits: Limits) -> str:
+    """The report note for a table without a certificate: one witness
+    search at depth ``m v n + bound`` per vertex and per offset pair
+    ``(m, n)`` drawn from ``0, e1, e2, e1 + e2``.  Every pair's depth is
+    checked against the caps before the first search."""
+    units = [ORIGIN, (1, 0), (0, 1), (1, 1)]
+    pairs = [(m, n) for m in units for n in units if m != n and p_meet(m, n) == ORIGIN]
+    depths = [
+        _witness_depth(bd, m, n, p_add(p_join(m, n), bound), limits) for m, n in pairs
+    ]
+    found = sum(
+        periodicity_witness_search(bd, v, m, n, depth, sk, limits) is not None
+        for v in sk.vertices
+        for (m, n), depth in zip(pairs, depths)
+    )
+    return (
+        f"bounded witness search (join + {bound}): witnesses found for "
+        f"{found} of {len(sk.vertices) * len(pairs)} (vertex, offset-pair) "
+        f"cases; absence of a witness up to this depth does not establish "
+        f"periodicity"
+    )
 
 
 def _witness_depth(
@@ -302,18 +332,6 @@ def _witness_depth(
             f"the cap of {limits.max_paths}"
         )
     return depth
-
-
-def _first_witness(paths: list[Path], m: Point, n: Point, depth: Point) -> Path | None:
-    """The first of ``paths`` (all of degree ``depth``) whose slices at
-    ``m`` and ``n`` differ, or None."""
-    rest = p_sub(depth, p_join(m, n))
-    for lam in paths:
-        left = factorize(lam, m, p_add(m, rest))
-        right = factorize(lam, n, p_add(n, rest))
-        if left.labels != right.labels:
-            return lam
-    return None
 
 
 def strong_connectivity(

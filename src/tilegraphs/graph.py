@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .data import BasicData, Vertex, vertex_from_labels
 from .errors import (
@@ -84,8 +84,11 @@ class Path:
         return dict(self.labels)
 
     def window(self, m: Point) -> Vertex:
-        """The tile-window restriction at offset ``m`` (shifted back to the tile)."""
+        """The tile-window restriction at offset ``m`` (shifted back to the
+        tile); ``OutOfRange`` unless ``0 <= m <= d(self)``."""
         layout = _layout(self.tile, self.degree)
+        if m not in layout.windows:
+            raise OutOfRange(f"window offset {m} is not within degree {self.degree}")
         symbols = _symbols(self, layout.cells)
         return vertex_from_labels(
             self.tile,
@@ -560,6 +563,14 @@ def enumerate_paths(
     ``strict=False`` drops the count cross-check, for suites that probe
     deliberately broken data.
     """
+    return list(_walk_paths(bd, v, n, skeleton, limits, strict))
+
+
+def _walk_paths(bd, v, n, skeleton, limits, strict) -> Iterator[Path]:
+    """The paths of :func:`enumerate_paths` one at a time, depth first: a
+    node's children are composed in out-list order and pushed reversed on an
+    explicit stack (flat tiles reach degrees like ``(1500, 0)``), so each
+    prefix is composed once.  The strict count runs before any compose."""
     expected = path_count(bd, n)
     if expected > limits.max_paths:
         raise SizeLimit(
@@ -567,40 +578,44 @@ def enumerate_paths(
             f"{limits.max_paths}"
         )
     tile = bd.tile
-    if bd.degenerate:
-        cells = _layout(tile, n).cells
-        return [Path(tile, n, tuple((c, bd.distinguished) for c in cells))]
-
-    sk = skeleton if skeleton is not None else build_skeleton(bd, limits)
-    if n == ORIGIN:
-        return [Path.from_vertex(tile, v)]
-    # The frontier holds (symbols, source vertex index) pairs: each step
-    # composes with an edge whose range window is that source by construction.
-    frontier = [(list(v.symbols), sk.index[v])]
-    edges: dict[tuple[str, int, int], list[str]] = {}
-    degree = ORIGIN
-    for colour in (BLUE,) * n[0] + (RED,) * n[1]:
-        e = unit(COLOUR_AXIS[colour])
-        plan = _compose_plan(tile, degree, e)
-        degree = plan.total
-        out_list = sk._adjacency(colour)
-        nxt = []
-        for symbols, src in frontier:
-            for u in out_list[src]:
-                edge = edges.get((colour, src, u))
-                if edge is None:
-                    edge = edges[colour, src, u] = list(
-                        _symbols(sk.edge_path(colour, src, u), plan.nu_cells)
-                    )
-                nxt.append((_run_plan(bd, plan, symbols, edge), u))
-        frontier = nxt
     cells = _layout(tile, n).cells
-    paths = [Path(tile, n, tuple(zip(cells, symbols))) for symbols, _ in frontier]
-    if strict and len(paths) != expected:
-        raise InvariantViolation(
-            f"enumerated {len(paths)} paths of degree {n}, expected {expected}"
-        )
-    return paths
+    if bd.degenerate:
+        yield Path(tile, n, tuple((c, bd.distinguished) for c in cells))
+        return
+    sk = skeleton if skeleton is not None else build_skeleton(bd, limits)
+    colours = (BLUE,) * n[0] + (RED,) * n[1]
+    if strict:
+        reach = {sk.index[v]: 1}  # edge chains so far, by their last vertex
+        for colour in colours:
+            reach, last = {}, reach
+            for w, count in last.items():
+                for u in sk._out[colour][w]:
+                    reach[u] = reach.get(u, 0) + count
+        if sum(reach.values()) != expected:
+            raise InvariantViolation(
+                f"enumerated {sum(reach.values())} paths of degree {n}, "
+                f"expected {expected}"
+            )
+    # Before step i the chain has degree (i, 0), or (n1, i - n1) once red.
+    plans = [
+        _compose_plan(tile, (min(i, n[0]), max(i - n[0], 0)), unit(COLOUR_AXIS[c]))
+        for i, c in enumerate(colours)
+    ]
+    # Nodes are (step, symbols, source vertex): the next edge leaves that source.
+    edges: dict[tuple[str, int, int], list[str]] = {}
+    stack = [(0, list(v.symbols), sk.index[v])]
+    while stack:
+        i, symbols, src = stack.pop()
+        if i == len(plans):
+            yield Path(tile, n, tuple(zip(cells, symbols)))
+            continue
+        children = []
+        for u in sk._out[colours[i]][src]:
+            key = (colours[i], src, u)
+            if key not in edges:
+                edges[key] = list(_symbols(sk.edge_path(*key), plans[i].nu_cells))
+            children.append((i + 1, _run_plan(bd, plans[i], symbols, edges[key]), u))
+        stack.extend(reversed(children))
 
 
 def all_paths(

@@ -4,11 +4,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import tilegraphs.cli as cli
-from tilegraphs import Skeleton, import_prw, parse_tile, validate_prw
+from tilegraphs import Skeleton, build_skeleton, import_prw, parse_tile, validate_prw
 from tilegraphs.cli import main
-from tilegraphs.serialize import basic_data_to_dict, dumps
+from tilegraphs.serialize import basic_data_from_dict, basic_data_to_dict, dumps
 
 from conftest import DATA_DIR
+from test_dynamics import twin_witness_evidence
 
 LEDRAPPIER = str(DATA_DIR / "ledrappier.json")
 SQUARE = str(DATA_DIR / "square.json")
@@ -160,6 +161,9 @@ class TestAnalyze:
         report = json.loads(out)
         assert report["verdict"] == "Unknown"
         assert any("bounded witness search" in note for note in report["notes"])
+        # The batched evidence loop the CLI used to run gives the same note.
+        bd = basic_data_from_dict(doc)
+        assert report["notes"][-1] == twin_witness_evidence(bd, build_skeleton(bd), (1, 1))
 
     def test_text_format(self, capsys):
         code, out, _ = run(capsys, "analyze", LEDRAPPIER, "--format", "text")

@@ -26,9 +26,13 @@ from tilegraphs import (
     validate_prw,
     aperiodicity_verdict,
 )
-from tilegraphs.dynamics import _shortest_cycle, breaking_cycle_candidates
-from tilegraphs.graph import BLUE, RED
-from tilegraphs.lattice import ORIGIN, box, p_meet
+from tilegraphs.dynamics import (
+    _shortest_cycle,
+    breaking_cycle_candidates,
+    witness_evidence,
+)
+from tilegraphs.graph import BLUE, RED, factorize, path_count
+from tilegraphs.lattice import ORIGIN, box, p_add, p_join, p_meet, p_sub
 from tilegraphs.limits import Limits
 
 from conftest import small_data
@@ -528,3 +532,126 @@ class TestConnectivityAgainstEnumeration:
         bd = sk.basic_data
         assert connectivity_outcome(exhaustive_k, bd, sk) == message
         assert connectivity_outcome(enumerated_connectivity, bd, sk) == message
+
+
+# -- the batched twin of the witness evidence ----------------------------------
+#
+# The evidence loop as first written for ``analyze``: each vertex's paths are
+# enumerated in full once per depth, then scanned for the first witness of
+# every offset pair of that depth.  The library runs one early-stopping
+# search per (vertex, pair) and must give the same note.
+
+UNITS = [ORIGIN, (1, 0), (0, 1), (1, 1)]
+PAIRS = [(m, n) for m in UNITS for n in UNITS if m != n and p_meet(m, n) == ORIGIN]
+
+
+def identity_data():
+    """The 2x2 square with identity rows: no breaking cycle, verdict Unknown."""
+    table = {",".join(p): ["0", "1"] for p in itertools.product("01", repeat=2)}
+    square = parse_tile([(0, 0), (1, 0), (0, 1), (1, 1)])
+    return validate_basic_data(square, ["0", "1"], table)
+
+
+def twin_first_witness(paths, m, n, depth):
+    """The first of ``paths`` whose slices at ``m`` and ``n`` differ."""
+    rest = p_sub(depth, p_join(m, n))
+    for lam in paths:
+        left = factorize(lam, m, p_add(m, rest))
+        right = factorize(lam, n, p_add(n, rest))
+        if left.labels != right.labels:
+            return lam
+    return None
+
+
+def twin_witness_evidence(bd, sk, bound, limits=Limits()):
+    by_depth = {}
+    for m, n in PAIRS:
+        depth = p_add(p_join(m, n), bound)
+        if path_count(bd, depth) > limits.max_paths:
+            raise SizeLimit(
+                f"{path_count(bd, depth)} paths of degree {depth} would exceed "
+                f"the cap of {limits.max_paths}"
+            )
+        by_depth.setdefault(depth, []).append((m, n))
+    found = total = 0
+    for v in sk.vertices:
+        for depth, pairs in by_depth.items():
+            paths = enumerate_paths(bd, v, depth, skeleton=sk, limits=limits)
+            for m, n in pairs:
+                total += 1
+                found += twin_first_witness(paths, m, n, depth) is not None
+    return (
+        f"bounded witness search (join + {bound}): witnesses found for "
+        f"{found} of {total} (vertex, offset-pair) cases; absence of a "
+        f"witness up to this depth does not establish periodicity"
+    )
+
+
+def evidence_outcome(fn, bd, sk, bound, limits):
+    try:
+        return fn(bd, sk, bound, limits)
+    except SizeLimit as err:
+        return str(err)
+
+
+class TestWitnessEvidenceAgainstTwin:
+    @pytest.mark.parametrize("bound", [(0, 0), (1, 1), (2, 1), (2, 2)])
+    def test_identity_table(self, bound):
+        bd = identity_data()
+        sk = build_skeleton(bd)
+        assert aperiodicity_verdict(bd, skeleton=sk).status is AperiodicityStatus.UNKNOWN
+        note = witness_evidence(bd, sk, bound, Limits())
+        assert note == twin_witness_evidence(bd, sk, bound)
+        assert f"for {len(sk.vertices) * len(PAIRS)} " not in note  # not all witnessed
+
+    def test_caps_are_checked_before_the_first_search(self, monkeypatch):
+        # At cap 8 the first pair's depth (2, 1) fits and the third's, (2, 2),
+        # does not: the note is refused before any search runs.
+        import tilegraphs.dynamics as dynamics
+
+        calls = []
+        search = dynamics.periodicity_witness_search
+        monkeypatch.setattr(
+            dynamics,
+            "periodicity_witness_search",
+            lambda *args, **kwargs: calls.append(args) or search(*args, **kwargs),
+        )
+        bd = identity_data()
+        sk = build_skeleton(bd)
+        with pytest.raises(SizeLimit) as err:
+            witness_evidence(bd, sk, (1, 1), Limits(max_paths=8))
+        assert str(err.value) == "16 paths of degree (2, 2) would exceed the cap of 8"
+        assert calls == []
+        witness_evidence(bd, sk, (1, 1), Limits(max_paths=16))
+        assert len(calls) == len(sk.vertices) * len(PAIRS)
+
+    @given(
+        small_data(),
+        st.tuples(st.integers(0, 1), st.integers(0, 1)),
+        st.sampled_from([200_000, 64, 16]),
+    )
+    @settings(max_examples=30, deadline=None)
+    @example(identity_data(), (1, 1), 64)
+    def test_small_data(self, bd, bound, cap):
+        # A cap below some pair's path count is refused before any search.
+        sk, limits = build_skeleton(bd), Limits(max_paths=cap)
+        assert evidence_outcome(witness_evidence, bd, sk, bound, limits) == (
+            evidence_outcome(twin_witness_evidence, bd, sk, bound, limits)
+        )
+
+    @given(
+        st.one_of(small_data(), st.just(identity_data())),
+        st.integers(0, 63),
+        st.sampled_from(PAIRS),
+        st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_search_returns_the_first_witness(self, bd, vi, pair, bound):
+        # Exactly the first path of the full list whose slices differ, or None.
+        sk = build_skeleton(bd)
+        v, (m, n) = sk.vertices[vi % len(sk.vertices)], pair
+        depth = p_add(p_join(m, n), bound)
+        paths = enumerate_paths(bd, v, depth, skeleton=sk)
+        assert periodicity_witness_search(
+            bd, v, m, n, depth=depth, skeleton=sk
+        ) == twin_first_witness(paths, m, n, depth)

@@ -34,6 +34,7 @@ from tilegraphs import (
     import_prw,
     parse_tile,
     path_count,
+    periodicity_witness_search,
     to_dot,
     translate_union,
     validate_basic_data,
@@ -423,6 +424,15 @@ class TestFactorize:
         assert v.degree == (0, 0)
         assert v.labels == lam.window((1, 0)).labels
 
+    def test_window_outside_the_degree_is_out_of_range(self, ledrappier, ledrappier_sk):
+        # Offsets past d(lam) or below the origin are refused like slices.
+        lam = all_paths(ledrappier, (1, 1), skeleton=ledrappier_sk)[3]
+        for m in ((2, 0), (0, 2), (-1, 0), (2, 2)):
+            with pytest.raises(OutOfRange) as err:
+                lam.window(m)
+            assert str(err.value) == f"window offset {m} is not within degree (1, 1)"
+        assert lam.window((1, 1)) == lam.source_vertex
+
     def test_out_of_range(self, ledrappier, ledrappier_sk):
         lam = all_paths(ledrappier, (1, 0), skeleton=ledrappier_sk)[0]
         with pytest.raises(OutOfRange):
@@ -498,6 +508,63 @@ class TestEnumeratePaths:
         chained = {p.labels for p in all_paths(bd, n, skeleton=sk)}
         brute = {p.labels for p in brute_force_paths(bd, n)}
         assert chained == brute
+
+    def test_flat_tile_walks_deeper_than_the_recursion_limit(self, flat, flat_sk):
+        # Blue steps on the flat tile are forced, so the walk is one chain of
+        # 1500 composes; it keeps its nodes on a stack, not the call stack.
+        assert 1500 > sys.getrecursionlimit()
+        v = flat_sk.vertices[2]
+        (lam,) = enumerate_paths(flat, v, (1500, 0), skeleton=flat_sk)
+        assert lam.degree == (1500, 0) and lam.range_vertex == v
+        assert flat.is_vertex(lam.source_vertex)
+
+    def test_brute_force_backtracks_deeper_than_the_recursion_limit(
+        self, flat, flat_sk
+    ):
+        # 1202 cells: recursing once per cell would pass the recursion limit.
+        brute = brute_force_paths(flat, (1200, 0))
+        chained = all_paths(flat, (1200, 0), skeleton=flat_sk)
+        assert len(brute) == len(flat_sk.vertices)
+        assert sorted(p.labels for p in brute) == sorted(p.labels for p in chained)
+
+    @pytest.mark.parametrize("i", range(4))
+    def test_count_check_runs_before_the_walk(self, flat, flat_sk, i):
+        # The flat skeleton without its first red edge, (0, 0): from every
+        # vertex some degree-(4, 2) chain needs it.  Walked to the end, the
+        # witness search would find no witness and answer None.
+        sk = flat_sk
+        broken = Skeleton(flat, sk.vertices, sk.blue, sk.red[1:], sk.index)
+        v, left = sk.vertices[i], 12 if i == 0 else 15
+        message = f"enumerated {left} paths of degree (4, 2), expected 16"
+        with pytest.raises(InvariantViolation) as err:
+            enumerate_paths(flat, v, (4, 2), skeleton=broken)
+        assert str(err.value) == message
+        with pytest.raises(InvariantViolation) as err:
+            periodicity_witness_search(
+                flat, v, (3, 0), (0, 0), depth=(4, 2), skeleton=broken
+            )
+        assert str(err.value) == message
+        assert (
+            periodicity_witness_search(flat, v, (3, 0), (0, 0), depth=(4, 2), skeleton=sk)
+            is None
+        )
+        # Not strict: the walk yields the chains that are left.
+        assert len(enumerate_paths(flat, v, (4, 2), broken, Limits(), False)) == left
+
+    def test_count_check_covers_a_search_that_stops_early(
+        self, ledrappier, ledrappier_sk
+    ):
+        # The second of the 32 paths already witnesses (1, 0) against the
+        # origin, so the walk stops long before a missing edge would show.
+        sk = ledrappier_sk
+        v = sk.vertices[0]
+        assert periodicity_witness_search(
+            ledrappier, v, (1, 0), (0, 0), skeleton=sk
+        ) == enumerate_paths(ledrappier, v, (3, 2), skeleton=sk)[1]
+        broken = Skeleton(ledrappier, sk.vertices, sk.blue[1:], sk.red, sk.index)
+        with pytest.raises(InvariantViolation) as err:
+            periodicity_witness_search(ledrappier, v, (1, 0), (0, 0), skeleton=broken)
+        assert str(err.value) == "enumerated 16 paths of degree (3, 2), expected 32"
 
 
 class TestAxiomSuites:
@@ -757,6 +824,43 @@ def twin_enumerate(bd, v, n, sk):
     return paths
 
 
+def twin_chain_count(sk, v, n):
+    """The number of edge chains from ``v``: n1 blue steps, then n2 red."""
+    ends = [sk.index[v]]
+    for colour in ("blue",) * n[0] + ("red",) * n[1]:
+        ends = [u for w in ends for u in sk.out_neighbours(colour, w)]
+    return len(ends)
+
+
+def twin_brute_force_paths(bd, n, limits):
+    """The window-filter backtracker as first written: one recursion level
+    per cell of ``T(n)``, symbols tried in alphabet order."""
+    tile = bd.tile
+    cells = translate_union(tile, n).sorted_points
+    last_cell_windows = {}
+    for k in box((0, 0), n):
+        last_cell_windows.setdefault(p_add(tile.sorted_points[-1], k), []).append(k)
+    out, labels = [], {}
+
+    def rec(i):
+        if i == len(cells):
+            out.append(Path.make(tile, n, labels))
+            if len(out) > limits.max_paths:
+                raise SizeLimit(
+                    f"brute force: paths of degree {n} exceed the path cap of "
+                    f"{limits.max_paths}"
+                )
+            return
+        for s in bd.alphabet.symbols:
+            labels[cells[i]] = s
+            if bd.bad_window(labels, last_cell_windows.get(cells[i], ())) is None:
+                rec(i + 1)
+        del labels[cells[i]]
+
+    rec(0)
+    return out
+
+
 def outcome(fn, *args):
     """A call's result, or its exception's type and message."""
     try:
@@ -845,6 +949,29 @@ class TestPlannedCoreAgainstTwin:
         v = sk.vertices[vi % len(sk.vertices)]
         got = outcome(enumerate_paths, bad, v, d, sk, Limits(), False)
         assert got == outcome(twin_enumerate, bad, v, d, sk)
+        # Strict: the chains are counted before anything is composed, so a
+        # count mismatch (a dropped symbol shrinks the expected count) wins
+        # over a compose error.
+        want = path_count(bad, d)
+        if not bad.degenerate and twin_chain_count(sk, v, d) != want:
+            got = (
+                InvariantViolation,
+                f"enumerated {twin_chain_count(sk, v, d)} paths of degree {d}, "
+                f"expected {want}",
+            )
+        assert outcome(enumerate_paths, bad, v, d, sk) == got
+
+    @given(core_cases(), st.integers(1, 300))
+    @settings(max_examples=40, deadline=None)
+    @example((ledrappier_data(), 0, (2, 2), (0, 0), None), 1024)
+    @example((staircase_data(), 0, (1, 1), (0, 0), "missing-pattern"), 300)
+    def test_brute_force_matches_the_recursive_twin(self, case, cap):
+        # Same paths in the same order, and the same refusal one over the cap.
+        bd, _, d, _, how = case
+        bad, limits = corrupt(bd, how), Limits(max_paths=cap)
+        assert outcome(brute_force_paths, bad, d, limits) == outcome(
+            twin_brute_force_paths, bad, d, limits
+        )
 
     def test_malformed_operands_are_rejected(self, ledrappier, ledrappier_sk):
         mu = ledrappier_sk.edge_path("blue", 0, 1)
