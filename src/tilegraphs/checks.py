@@ -34,6 +34,7 @@ from .graph import (
     RED,
     Path,
     Skeleton,
+    _check_degree,
     _compose_plan,
     _compose_symbols,
     _layout,
@@ -64,6 +65,7 @@ def brute_force_paths(
     as soon as its last cell is assigned.  This is the definitional path
     set, independent of skeleton edges and corner filling.
     """
+    _check_degree(n)
     tile = bd.tile
     cells = translate_union(tile, n).sorted_points
     # Window offsets keyed by their window's last cell: translation keeps
@@ -193,6 +195,7 @@ def check_unique_factorisation(
     the path; (b) composing *all* composable pairs of those degrees hits
     every degree-``d`` path exactly once.
     """
+    _check_degree(degree)
     tile = bd.tile
     try:
         sk = sk if sk is not None else build_skeleton(bd, limits, check=False)

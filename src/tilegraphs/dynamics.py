@@ -32,6 +32,7 @@ from .graph import (
     RED,
     Path,
     Skeleton,
+    _axis,
     _walk_paths,
     build_skeleton,
     factorize,
@@ -85,8 +86,7 @@ class SimplicityReport:
 
 def _candidate_overlap(bd: BasicData, colour: str):
     """Blue candidates are constant on the e2-overlap, red on the e1-overlap."""
-    other = {BLUE: 2, RED: 1}[colour]
-    return overlap(bd.tile, other)
+    return overlap(bd.tile, 3 - _axis(colour))
 
 
 def breaking_cycle_candidates(
@@ -117,12 +117,10 @@ def find_breaking_cycle(
     directed cycle through at least two distinct vertices; ties break on the
     canonical vertex order, so results are reproducible.
     """
-    if symbol not in bd.alphabet:
-        return None
     ov = _candidate_overlap(bd, colour)
-    if len(ov) == 0:
-        # The constancy requirement has an empty domain, so nothing ever
-        # witnesses the symbol: flat tiles admit no cycle of this colour.
+    if symbol not in bd.alphabet or len(ov) == 0:
+        # With an empty constancy domain nothing ever witnesses the symbol:
+        # flat tiles admit no cycle of this colour.
         return None
     sk = skeleton if skeleton is not None else build_skeleton(bd, limits)
     cands = breaking_cycle_candidates(bd, sk, colour, symbol)
@@ -280,7 +278,7 @@ def periodicity_witness_search(
     """
     depth = _witness_depth(bd, m, n, depth, limits)
     rest = p_sub(depth, p_join(m, n))
-    for lam in _walk_paths(bd, v, depth, skeleton, limits, True):
+    for lam in _walk_paths(bd, [v], depth, skeleton, limits, True):
         left = factorize(lam, m, p_add(m, rest))
         if left.labels != factorize(lam, n, p_add(n, rest)).labels:
             return lam

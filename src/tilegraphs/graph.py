@@ -23,6 +23,8 @@ order above), so composing, slicing and reading windows index symbol
 tuples instead of rebuilding dicts and translate unions on every call.
 The axiom checks in :mod:`tilegraphs.checks` run the same plans on symbol
 tuples directly, through :func:`_compose_symbols` and :func:`_slice`.
+One enumeration call walks all its range vertices on shared plans and edge
+paths; a plan's blank cells give the one-cell tile its distinguished symbol.
 
 All values here are immutable; building and enumerating paths is pure.
 """
@@ -59,6 +61,13 @@ from .limits import DEFAULT_LIMITS, Limits
 
 BLUE, RED = "blue", "red"
 COLOUR_AXIS = {BLUE: 1, RED: 2}
+
+
+def _axis(colour: str) -> int:
+    """The axis of ``colour``'s edges; ``ValueError`` for any other name."""
+    if colour not in (BLUE, RED):
+        raise ValueError(f"colour must be 'blue' or 'red', got {colour!r}")
+    return COLOUR_AXIS[colour]
 
 
 @dataclass(frozen=True)
@@ -197,15 +206,11 @@ class Skeleton:
             self._out[colour] = tuple(tuple(sorted(row)) for row in adj)
 
     def edges(self, colour: str) -> tuple[tuple[int, int], ...]:
-        if colour == BLUE:
-            return self.blue
-        if colour == RED:
-            return self.red
-        raise ValueError(f"colour must be 'blue' or 'red', got {colour!r}")
+        return self.blue if _axis(colour) == 1 else self.red
 
     def _adjacency(self, colour: str) -> tuple[tuple[int, ...], ...]:
         """Per vertex, the heads of its ``colour`` edges in ascending order."""
-        self.edges(colour)  # rejects an unknown colour
+        _axis(colour)  # rejects an unknown colour
         return self._out[colour]
 
     def out_neighbours(self, colour: str, v: int) -> list[int]:
@@ -226,9 +231,7 @@ class Skeleton:
 
     def edge_path(self, colour: str, v: int, u: int) -> Path:
         """The unique degree-``e_axis`` path with range ``v`` and source ``u``."""
-        axis = COLOUR_AXIS[colour]
-        e = unit(axis)
-        tile = self.basic_data.tile
+        e = unit(_axis(colour))
         labels = self.vertices[v].as_dict()
         for t, s in self.vertices[u].labels:
             q = p_add(t, e)
@@ -237,7 +240,7 @@ class Skeleton:
                     f"edge ({v}, {u}, {colour}) has inconsistent overlap"
                 )
             labels[q] = s
-        return Path.make(tile, e, labels)
+        return Path.make(self.basic_data.tile, e, labels)
 
 
 def build_skeleton(
@@ -540,9 +543,16 @@ def factorize(lam: Path, m: Point, n: Point) -> Path:
 
 # -- enumeration --------------------------------------------------------------
 
+def _check_degree(n: Point) -> None:
+    """``OutOfRange`` unless ``n`` is a degree: both coordinates at least 0."""
+    if not p_leq(ORIGIN, n):
+        raise OutOfRange(f"degree {n} has a negative coordinate")
+
+
 def path_count(bd: BasicData, n: Point) -> int:
     """|A| ** (n1 c2 + n2 c1): the number of paths of degree ``n`` from any
     fixed range vertex."""
+    _check_degree(n)
     if bd.degenerate:
         return 1
     return len(bd.alphabet) ** (n[0] * bd.tile.c2 + n[1] * bd.tile.c1)
@@ -563,59 +573,59 @@ def enumerate_paths(
     ``strict=False`` drops the count cross-check, for suites that probe
     deliberately broken data.
     """
-    return list(_walk_paths(bd, v, n, skeleton, limits, strict))
+    return list(_walk_paths(bd, [v], n, skeleton, limits, strict))
 
 
-def _walk_paths(bd, v, n, skeleton, limits, strict) -> Iterator[Path]:
-    """The paths of :func:`enumerate_paths` one at a time, depth first: a
-    node's children are composed in out-list order and pushed reversed on an
-    explicit stack (flat tiles reach degrees like ``(1500, 0)``), so each
-    prefix is composed once.  The strict count runs before any compose."""
+def _walk_paths(bd, roots, n, skeleton, limits, strict) -> Iterator[Path]:
+    """The degree-``n`` paths from each root in turn, depth first: children
+    are composed in out-list order and pushed reversed on an explicit stack
+    (flat tiles reach degrees like ``(1500, 0)``).  One cap check covers all
+    roots; a root's strict count runs before its first compose."""
     expected = path_count(bd, n)
-    if expected > limits.max_paths:
+    if expected * len(roots) > limits.max_paths:
         raise SizeLimit(
-            f"{expected} paths of degree {n} would exceed the cap of "
-            f"{limits.max_paths}"
+            f"{expected * len(roots)} paths of degree {n} would exceed the cap "
+            f"of {limits.max_paths}"
         )
     tile = bd.tile
     cells = _layout(tile, n).cells
-    if bd.degenerate:
-        yield Path(tile, n, tuple((c, bd.distinguished) for c in cells))
-        return
     sk = skeleton if skeleton is not None else build_skeleton(bd, limits)
     colours = (BLUE,) * n[0] + (RED,) * n[1]
-    if strict:
-        reach = {sk.index[v]: 1}  # edge chains so far, by their last vertex
-        for colour in colours:
-            reach, last = {}, reach
-            for w, count in last.items():
-                for u in sk._out[colour][w]:
-                    reach[u] = reach.get(u, 0) + count
-        if sum(reach.values()) != expected:
-            raise InvariantViolation(
-                f"enumerated {sum(reach.values())} paths of degree {n}, "
-                f"expected {expected}"
-            )
     # Before step i the chain has degree (i, 0), or (n1, i - n1) once red.
     plans = [
         _compose_plan(tile, (min(i, n[0]), max(i - n[0], 0)), unit(COLOUR_AXIS[c]))
         for i, c in enumerate(colours)
     ]
-    # Nodes are (step, symbols, source vertex): the next edge leaves that source.
     edges: dict[tuple[str, int, int], list[str]] = {}
-    stack = [(0, list(v.symbols), sk.index[v])]
-    while stack:
-        i, symbols, src = stack.pop()
-        if i == len(plans):
-            yield Path(tile, n, tuple(zip(cells, symbols)))
-            continue
-        children = []
-        for u in sk._out[colours[i]][src]:
-            key = (colours[i], src, u)
-            if key not in edges:
-                edges[key] = list(_symbols(sk.edge_path(*key), plans[i].nu_cells))
-            children.append((i + 1, _run_plan(bd, plans[i], symbols, edges[key]), u))
-        stack.extend(reversed(children))
+    for v in roots:
+        if v not in sk.index:
+            raise ValidationError(f"range vertex {v.labels} is not a skeleton vertex")
+        if strict:
+            reach = {sk.index[v]: 1}  # edge chains so far, by their last vertex
+            for colour in colours:
+                reach, last = {}, reach
+                for w, count in last.items():
+                    for u in sk._out[colour][w]:
+                        reach[u] = reach.get(u, 0) + count
+            if sum(reach.values()) != expected:
+                raise InvariantViolation(
+                    f"enumerated {sum(reach.values())} paths of degree {n}, "
+                    f"expected {expected}"
+                )
+        # Nodes are (step, symbols, source): the next edge leaves that source.
+        stack = [(0, list(v.symbols), sk.index[v])]
+        while stack:
+            i, symbols, src = stack.pop()
+            if i == len(plans):
+                yield Path(tile, n, tuple(zip(cells, symbols)))
+                continue
+            children = []
+            for u in sk._out[colours[i]][src]:
+                key = (colours[i], src, u)
+                if key not in edges:
+                    edges[key] = list(_symbols(sk.edge_path(*key), plans[i].nu_cells))
+                children.append((i + 1, _run_plan(bd, plans[i], symbols, edges[key]), u))
+            stack.extend(reversed(children))
 
 
 def all_paths(
@@ -627,15 +637,4 @@ def all_paths(
 ) -> list[Path]:
     """All paths of degree ``n``, grouped by range vertex in canonical order."""
     sk = skeleton if skeleton is not None else build_skeleton(bd, limits)
-    if path_count(bd, n) * len(sk.vertices) > limits.max_paths:
-        raise SizeLimit(
-            f"{path_count(bd, n) * len(sk.vertices)} paths of degree {n} "
-            f"would exceed the cap of {limits.max_paths}"
-        )
-    out: list[Path] = []
-    for v in sk.vertices:
-        out.extend(
-            enumerate_paths(bd, v, n, skeleton=sk, limits=limits, strict=strict)
-        )
-    return out
-
+    return list(_walk_paths(bd, sk.vertices, n, sk, limits, strict))

@@ -132,6 +132,21 @@ class TestFindBreakingCycle:
                 slow = brute_force_breaking_cycle(bd, sk, colour, symbol)
                 assert (fast is not None) == slow, (name, colour, symbol)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda bd, sk, s: find_breaking_cycle(bd, "green", s, skeleton=sk),
+            lambda bd, sk, s: breaking_cycle_candidates(bd, sk, "green", s),
+        ],
+        ids=["find", "candidates"],
+    )
+    @pytest.mark.parametrize("symbol", ["0", "not-a-symbol"])
+    def test_unknown_colour_is_rejected(self, ledrappier, ledrappier_sk, call, symbol):
+        # The same check as Skeleton.edges, before the symbol is looked at.
+        with pytest.raises(ValueError) as err:
+            call(ledrappier, ledrappier_sk, symbol)
+        assert str(err.value) == "colour must be 'blue' or 'red', got 'green'"
+
     def test_candidates_read_the_overlap(self, rem3, rem3_sk):
         cands = breaking_cycle_candidates(rem3, rem3_sk, RED, "0")
         for i in cands:

@@ -279,6 +279,13 @@ class TestSkeleton:
         with pytest.raises(ValueError):
             sk.out_neighbours("green", 0)
 
+    @pytest.mark.parametrize("call", ["edges", "has_edge", "out_neighbours", "edge_path"])
+    def test_unknown_colours_are_rejected_alike(self, ledrappier_sk, call):
+        args = {"edges": (), "out_neighbours": (0,)}.get(call, (0, 1))
+        with pytest.raises(ValueError) as err:
+            getattr(ledrappier_sk, call)("green", *args)
+        assert str(err.value) == "colour must be 'blue' or 'red', got 'green'"
+
     def test_dot_export(self, ledrappier_sk):
         dot = to_dot(ledrappier_sk)
         assert dot.startswith("digraph skeleton {")
@@ -550,6 +557,46 @@ class TestEnumeratePaths:
         )
         # Not strict: the walk yields the chains that are left.
         assert len(enumerate_paths(flat, v, (4, 2), broken, Limits(), False)) == left
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda bd, sk, n: path_count(bd, n),
+            lambda bd, sk, n: enumerate_paths(bd, sk.vertices[0], n, skeleton=sk),
+            lambda bd, sk, n: all_paths(bd, n, skeleton=sk, strict=False),
+            lambda bd, sk, n: brute_force_paths(bd, n),
+            lambda bd, sk, n: check_unique_factorisation(bd, n, sk=sk),
+        ],
+        ids=["path_count", "enumerate_paths", "all_paths", "brute_force", "factorisation"],
+    )
+    @pytest.mark.parametrize("n", [(-1, 0), (-1, 2), (0, -1)])
+    def test_negative_degrees_are_out_of_range(self, ledrappier, ledrappier_sk, call, n):
+        with pytest.raises(OutOfRange) as err:
+            call(ledrappier, ledrappier_sk, n)
+        assert str(err.value) == f"degree {n} has a negative coordinate"
+
+    @pytest.mark.parametrize("n", [(0, 0), (1, 1)])
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_a_range_vertex_outside_the_skeleton_is_refused(
+        self, ledrappier, ledrappier_sk, rem3_sk, n, strict
+    ):
+        # A vertex of other data, and the one labelling of the one-cell tile
+        # that is not a vertex.
+        one_sk = build_skeleton(ONE_CELL)
+        stray = vertex_from_labels(ONE_CELL.tile, {(0, 0): "0"})
+        for bd, sk, v in (
+            (ledrappier, ledrappier_sk, rem3_sk.vertices[5]),
+            (ONE_CELL, one_sk, stray),
+        ):
+            with pytest.raises(ValidationError) as err:
+                enumerate_paths(bd, v, n, sk, Limits(), strict)
+            assert type(err.value) is ValidationError
+            assert str(err.value) == f"range vertex {v.labels} is not a skeleton vertex"
+        with pytest.raises(ValidationError) as err:
+            periodicity_witness_search(
+                ledrappier, rem3_sk.vertices[5], (1, 0), (0, 0), skeleton=ledrappier_sk
+            )
+        assert "is not a skeleton vertex" in str(err.value)
 
     def test_count_check_covers_a_search_that_stops_early(
         self, ledrappier, ledrappier_sk
@@ -824,6 +871,20 @@ def twin_enumerate(bd, v, n, sk):
     return paths
 
 
+def twin_all_paths(bd, n, sk, limits, strict):
+    """``all_paths`` as first written: its own cap check over every range
+    vertex, then one ``enumerate_paths`` walk per vertex."""
+    if path_count(bd, n) * len(sk.vertices) > limits.max_paths:
+        raise SizeLimit(
+            f"{path_count(bd, n) * len(sk.vertices)} paths of degree {n} "
+            f"would exceed the cap of {limits.max_paths}"
+        )
+    out = []
+    for v in sk.vertices:
+        out.extend(enumerate_paths(bd, v, n, skeleton=sk, limits=limits, strict=strict))
+    return out
+
+
 def twin_chain_count(sk, v, n):
     """The number of edge chains from ``v``: n1 blue steps, then n2 red."""
     ends = [sk.index[v]]
@@ -953,13 +1014,54 @@ class TestPlannedCoreAgainstTwin:
         # count mismatch (a dropped symbol shrinks the expected count) wins
         # over a compose error.
         want = path_count(bad, d)
-        if not bad.degenerate and twin_chain_count(sk, v, d) != want:
+        if twin_chain_count(sk, v, d) != want:
             got = (
                 InvariantViolation,
                 f"enumerated {twin_chain_count(sk, v, d)} paths of degree {d}, "
                 f"expected {want}",
             )
         assert outcome(enumerate_paths, bad, v, d, sk) == got
+
+    @given(core_cases(), st.integers(1, 300), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    @example((ONE_CELL, 0, (2, 2), (0, 0), None), 1, True)
+    @example((corrupted_ledrappier_data(), 0, (1, 1), (0, 0), None), 300, True)
+    @example((ledrappier_data(), 0, (2, 2), (0, 0), "unknown-symbol"), 300, True)
+    @example((staircase_data(), 0, (1, 1), (0, 0), "missing-pattern"), 300, False)
+    def test_all_paths_matches_the_per_vertex_twin(self, case, cap, strict):
+        # One walk over every range vertex: the same paths in the same order,
+        # or the same refusal, as a cap check and then a walk per vertex.
+        bd, _, d, _, how = case
+        sk = build_skeleton(bd, check=False)
+        bad, limits = corrupt(bd, how), Limits(max_paths=cap)
+        assert outcome(all_paths, bad, d, sk, limits, strict) == outcome(
+            twin_all_paths, bad, d, sk, limits, strict
+        )
+
+    @pytest.mark.parametrize("drop, error", [(0, InvariantViolation), (4, MissingPattern)])
+    def test_all_paths_counts_each_root_just_before_its_walk(self, drop, error):
+        # Without blue edge 0, (0, 0), root 0's count fails first.  Without
+        # edge 4, (2, 2), root 1 fails to compose before root 2 is counted.
+        bd = ledrappier_data()
+        sk = build_skeleton(bd)
+        broken = Skeleton(bd, sk.vertices, sk.blue[:drop] + sk.blue[drop + 1:], sk.red, sk.index)
+        bad = corrupt(bd, "missing-pattern")
+        got = outcome(all_paths, bad, (1, 1), broken, Limits(), True)
+        assert got[0] is error
+        assert got == outcome(twin_all_paths, bad, (1, 1), broken, Limits(), True)
+
+    def test_all_paths_derives_each_edge_path_once(self, rem3, rem3_sk, monkeypatch):
+        calls = []
+        edge_path = Skeleton.edge_path
+
+        def counted(sk, *key):
+            calls.append(key)
+            return edge_path(sk, *key)
+
+        monkeypatch.setattr(Skeleton, "edge_path", counted)
+        paths = all_paths(rem3, (2, 2), skeleton=rem3_sk, strict=False)
+        assert len(paths) == path_count(rem3, (2, 2)) * len(rem3_sk.vertices)
+        assert len(calls) == len(set(calls)) == len(rem3_sk.blue) + len(rem3_sk.red) == 48
 
     @given(core_cases(), st.integers(1, 300))
     @settings(max_examples=40, deadline=None)
