@@ -101,8 +101,8 @@ def cmd_skeleton(args) -> int:
             dumps(
                 {
                     "vertices": [vertex_to_dict(v) for v in sk.vertices],
-                    "blue_edges": [list(e) for e in sk.blue],
-                    "red_edges": [list(e) for e in sk.red],
+                    "blue_edges": sk.blue,
+                    "red_edges": sk.red,
                 }
             )
         )

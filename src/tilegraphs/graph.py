@@ -287,12 +287,16 @@ def build_skeleton(
 
 
 def to_dot(sk: Skeleton) -> str:
-    """Deterministic DOT rendering: blue edges solid, red edges dashed."""
+    """Deterministic DOT rendering: blue edges solid, red edges dashed.
+
+    Labels are DOT quoted strings, so ``\\`` and ``"`` in symbols are
+    escaped with a backslash."""
     from .data import pattern_key
 
     lines = ["digraph skeleton {"]
     for i, v in enumerate(sk.vertices):
         label = f"{pattern_key(v.pattern)}|{v.top}"
+        label = label.replace("\\", "\\\\").replace('"', '\\"')
         lines.append(f'  v{i} [label="{label}"];')
     for v, u in sk.blue:
         lines.append(f"  v{v} -> v{u} [color=blue, style=solid];")

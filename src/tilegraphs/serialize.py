@@ -21,6 +21,8 @@ from __future__ import annotations
 import csv
 import io
 import json
+from itertools import chain
+from json.encoder import encode_basestring
 from typing import Any
 
 from .data import BasicData, PrwParams, Vertex, pattern_key, validate_prw
@@ -174,5 +176,62 @@ def census_to_csv(census: list[BlockCensus]) -> str:
 
 
 def dumps(doc: Any) -> str:
-    """Deterministic JSON: sorted keys, stable float formatting."""
-    return json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    """Deterministic JSON, as the CLI writes it on stdout and stderr.
+
+    The result is byte-identical to ``json.dumps(doc, indent=2,
+    sort_keys=True, ensure_ascii=False) + "\\n"`` for any document of dicts
+    with string keys, lists, tuples, strings, ints, floats, booleans and
+    ``None``, but it is built without the stdlib's pure-Python indenting
+    encoder.  Strings and keys go through the stdlib's C string encoder and
+    other scalars through its compact C encoder, so floats, ``NaN`` and
+    ``Infinity`` read exactly as there.  A list whose items are lists or
+    tuples of one length, all of plain ints (no bools), such as the
+    skeleton's edge lists, is formatted by one ``%`` over its flattened
+    items.
+    """
+    return _emit(doc, "\n") + "\n"
+
+
+_encode_scalar = json.JSONEncoder().encode
+
+
+def _emit(o: Any, nl: str) -> str:
+    """``o`` as JSON, continuation lines starting with ``nl`` (a newline
+    and the indent of the line ``o`` starts on)."""
+    if isinstance(o, str):
+        return encode_basestring(o)
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        inner = nl + "  "
+        rows = _int_rows(o, nl, inner)
+        if rows is not None:
+            return rows
+        body = ("," + inner).join([_emit(v, inner) for v in o])
+        return "[" + inner + body + nl + "]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        inner = nl + "  "
+        body = ("," + inner).join(
+            [encode_basestring(k) + ": " + _emit(v, inner)
+             for k, v in sorted(o.items())]
+        )
+        return "{" + inner + body + nl + "}"
+    return _encode_scalar(o)
+
+
+def _int_rows(rows: list | tuple, nl: str, inner: str) -> str | None:
+    """``rows`` as JSON if its items are equal-length lists or tuples of
+    plain ints, else None."""
+    if not set(map(type, rows)) <= {list, tuple}:
+        return None
+    widths = set(map(len, rows))
+    if len(widths) != 1 or 0 in widths:
+        return None
+    flat = tuple(chain.from_iterable(rows))
+    if set(map(type, flat)) != {int}:
+        return None
+    cell = inner + "  "
+    row = "[" + cell + ("," + cell).join(["%d"] * widths.pop()) + inner + "]"
+    return ("[" + inner + ("," + inner).join([row] * len(rows)) + nl + "]") % flat

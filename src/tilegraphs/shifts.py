@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .data import BasicData
-from .errors import InvariantViolation, NotAdmissible, RegionShapeMismatch
+from .errors import InvariantViolation, NotAdmissible, RegionShapeMismatch, SizeLimit
 from .graph import Path, Skeleton, all_paths, path_count
 from .lattice import Point, contained_translates, p_sub, translate_union
 from .limits import DEFAULT_LIMITS, Limits
@@ -159,13 +159,21 @@ def entropy_sequence(
     limits: Limits = DEFAULT_LIMITS,
     cross_check_upto: int = 2,
 ) -> list[BlockCensus]:
-    """Census rows for ``d = 1 .. d_max``; the entropy terms tend to zero."""
+    """Census rows for ``d = 1 .. d_max``; the entropy terms tend to zero.
+
+    More rows than the path cap raise ``SizeLimit`` before any is counted.
+    """
     if d_max < 1:
         raise ValueError(f"d_max must be positive, got {d_max}")
+    if d_max > limits.max_paths:
+        raise SizeLimit(
+            f"entropy census: {d_max} rows exceed the path cap of "
+            f"{limits.max_paths}"
+        )
     rows = []
     for d in range(1, d_max + 1):
         upto = cross_check_upto
-        if path_count(bd, (d, d)) * bd.vertex_count() > limits.max_paths:
+        if d <= upto and path_count(bd, (d, d)) * bd.vertex_count() > limits.max_paths:
             upto = 0  # brute force infeasible at this depth; skip quietly
         rows.append(
             count_blocks(bd, d, skeleton=skeleton, limits=limits, cross_check_upto=upto)

@@ -298,6 +298,25 @@ class TestSizeCaps:
         assert json.loads(err)["error"] == "SizeLimit"
 
 
+    def test_entropy_row_cap_exits_3(self, capsys):
+        # Refused before the first row is counted, not after hours of rows.
+        code, out, err = run(capsys, "entropy", FLAT, "--dmax", "99999999999")
+        assert code == 3 and out == ""
+        assert json.loads(err) == {
+            "error": "SizeLimit",
+            "message": "entropy census: 99999999999 rows exceed the path cap of 200000",
+        }
+
+    def test_entropy_rows_up_to_the_path_cap(self, capsys):
+        argv = ("--max-paths", "5", "entropy", LEDRAPPIER, "--format", "json")
+        code, out, _ = run(capsys, *argv, "--dmax", "5")
+        assert code == 0 and len(json.loads(out)["census"]) == 5
+        code, out, err = run(capsys, *argv, "--dmax", "6")
+        assert code == 3 and out == ""
+        assert json.loads(err)["message"] == (
+            "entropy census: 6 rows exceed the path cap of 5"
+        )
+
     def test_associativity_cap_exits_3(self, capsys, tmp_path):
         # A 1024-vertex modular rule has 33,554,432 composable edge triples:
         # verify must refuse them instead of composing for minutes.
@@ -324,6 +343,40 @@ def test_repeated_runs_are_byte_identical(capsys):
             assert code == 0
             outputs.add((tuple(argv), capsys.readouterr().out))
     assert len(outputs) == 3
+
+
+def stdlib_json(text):
+    """``text`` re-encoded by the stdlib's own indenting encoder."""
+    doc = json.loads(text)
+    return json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+
+
+@pytest.mark.parametrize(
+    "command", ["validate", "skeleton", "analyze", "import-prw", "entropy", "verify"]
+)
+@pytest.mark.parametrize("path", sorted(DATA_DIR.glob("*.json")), ids=lambda p: p.stem)
+def test_json_output_is_the_stdlib_encoding(capsys, command, path):
+    # Basic data fed to import-prw, and rules fed to the rest, exit 2.
+    code, out, err = run(capsys, command, str(path), "--format", "json")
+    if code == 0:
+        assert err == "" and out == stdlib_json(out)
+    else:
+        assert code == 2 and out == ""
+        assert err == stdlib_json(err)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--max-vertices", "3", "skeleton", LEDRAPPIER, "--format", "json"],
+        ["entropy", SQUARE, "--dmax", "99999999999", "--format", "json"],
+        ["verify", "--degree", "1,é"],
+    ],
+)
+def test_diagnostics_are_the_stdlib_encoding(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code in (2, 3) and out == ""
+    assert err == stdlib_json(err)
 
 
 TRIPOD = [[0, 0], [1, 0], [0, 1]]

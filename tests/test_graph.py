@@ -1,6 +1,7 @@
 import itertools
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -293,6 +294,19 @@ class TestSkeleton:
         assert dot.count("style=solid") == 8
         assert dot.count("style=dashed") == 8
         assert 'v0 [label="0|0"];' in dot
+
+    def test_dot_labels_escape_quotes_and_backslashes(self):
+        a, b = 'a"b', "c\\d"
+        tile = parse_tile([(0, 0), (1, 0), (0, 1)])
+        bd = validate_basic_data(tile, [a, b], {a: [a, b], b: [b, a]})
+        dot = to_dot(build_skeleton(bd))
+        labels = [line.split("[label=", 1)[1] for line in dot.splitlines()
+                  if "[label=" in line]
+        assert len(labels) == 4
+        for label in labels:
+            assert re.fullmatch(r'"(?:[^"\\]|\\.)*"\];', label)
+        assert 'v0 [label="a\\"b|a\\"b"];' in dot
+        assert '[label="c\\\\d|c\\\\d"];' in dot
 
 
 class TestFillCorners:
