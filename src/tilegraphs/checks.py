@@ -8,7 +8,9 @@ they also catch deliberately corrupted data that bypassed validation.
 
 Unique factorisation and associativity hash, slice and compose paths as
 symbol tuples in their layout's slot order, through the same cached compose
-plans as :func:`tilegraphs.graph.compose`; a ``Path`` is built only for a
+plans as :func:`tilegraphs.graph.compose`: the chained paths come straight
+from the path walk, windows and slices are cached slot lists, and each
+edge's symbols are read once per skeleton.  A ``Path`` is built only for a
 counterexample.
 
 On commuting squares, counted per range vertex along the skeleton's
@@ -37,14 +39,14 @@ from .graph import (
     _check_degree,
     _compose_plan,
     _compose_symbols,
-    _layout,
+    _path,
     _slice,
     _symbols,
-    all_paths,
+    _walk_paths,
     build_skeleton,
     path_count,
 )
-from .lattice import ORIGIN, Point, Tile, box, p_add, p_sub, translate_union, unit
+from .lattice import ORIGIN, Point, box, p_add, p_sub, translate_union, unit
 from .limits import DEFAULT_LIMITS, Limits
 
 
@@ -97,11 +99,6 @@ def brute_force_paths(
                 f"{limits.max_paths}"
             )
     return out
-
-
-def _as_path(tile: Tile, d: Point, symbols: tuple[str, ...]) -> Path:
-    """The degree-``d`` path whose symbols, slot by slot, are ``symbols``."""
-    return Path(tile, d, tuple(zip(_layout(tile, d).cells, symbols)))
 
 
 def check_vertex_count(bd: BasicData, sk: Skeleton) -> CheckResult:
@@ -204,11 +201,9 @@ def check_unique_factorisation(
         # operands are enumerated already, once each.
         enumerated: dict[Point, tuple[list[tuple[str, ...]], dict]] = {}
         for d in box(ORIGIN, degree):
-            chained = all_paths(bd, d, skeleton=sk, limits=limits, strict=False)
+            chained_symbols = list(_walk_paths(bd, sk.vertices, d, sk, limits, False))
             brute = brute_force_paths(bd, d, limits=limits)
-            layout = _layout(tile, d)
-            chained_symbols = [_symbols(p, layout.cells) for p in chained]
-            brute_symbols = [_symbols(p, layout.cells) for p in brute]
+            brute_symbols = [_symbols(p) for p in brute]
             chain_set, brute_set = set(chained_symbols), set(brute_symbols)
             if chain_set != brute_set:
                 # Labels of one degree share their cells, so they sort as
@@ -219,18 +214,18 @@ def check_unique_factorisation(
                     False,
                     f"edge-chain and window-filter path sets differ at "
                     f"degree {d} ({len(chain_set)} vs {len(brute_set)})",
-                    counterexample=tuple(zip(layout.cells, odd)),
+                    counterexample=_path(tile, d, odd).labels,
                 )
             by_range: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
+            window = _slice(tile, d, ORIGIN, ORIGIN)
             for nu in chained_symbols:
-                key = tuple([nu[k] for k in layout.windows[ORIGIN]])
-                by_range.setdefault(key, []).append(nu)
+                by_range.setdefault(tuple([nu[k] for k in window]), []).append(nu)
             enumerated[d] = chained_symbols, by_range
             for m in box(ORIGIN, d):
                 n = p_sub(d, m)
                 plan = _compose_plan(tile, m, n)
-                mu_slots = _slice(tile, d, ORIGIN, m)[1]
-                nu_slots = _slice(tile, d, m, n)[1]
+                mu_slots = _slice(tile, d, ORIGIN, m)
+                nu_slots = _slice(tile, d, m, n)
                 for lam, path in zip(brute_symbols, brute):
                     mu = tuple([lam[k] for k in mu_slots])
                     nu = tuple([lam[k] for k in nu_slots])
@@ -253,7 +248,7 @@ def check_unique_factorisation(
                                 "unique-factorisation",
                                 False,
                                 f"two ({m}, {n}) factorisations of one path",
-                                counterexample=_as_path(tile, d, lam),
+                                counterexample=_path(tile, d, lam),
                             )
                         seen.add(lam)
                 if seen != brute_set:
@@ -303,16 +298,15 @@ def check_associativity(
                 f"associativity: {count} composable edge triples exceed the "
                 f"path cap of {limits.max_paths}"
             )
-        # Each edge path is built and read into its symbols once; ``out``
-        # holds (head, edge number) pairs and ``edges`` (degree, symbols).
+        # ``out`` holds (head, edge number) pairs and ``edges`` (degree,
+        # symbols), every edge read before any compose.
         edges: list[tuple[Point, tuple[str, ...]]] = []
         out: list[list[tuple[int, int]]] = [[] for _ in vertices]
         for v in vertices:
             for c in (BLUE, RED):
                 for u in heads(c, v):
-                    e = sk.edge_path(c, v, u)
                     out[v].append((u, len(edges)))
-                    edges.append((e.degree, _symbols(e, _layout(tile, e.degree).cells)))
+                    edges.append((unit(COLOUR_AXIS[c]), sk._edge_symbols(c, v, u)))
 
         def join(a, b):
             plan = _compose_plan(tile, a[0], b[0])
@@ -340,7 +334,7 @@ def check_associativity(
                                 False,
                                 "edge triple composes differently in the two orders",
                                 counterexample=tuple(
-                                    _as_path(tile, *edges[i]) for i in (mu, nu, rho)
+                                    _path(tile, *edges[i]) for i in (mu, nu, rho)
                                 ),
                             )
     except SizeLimit:

@@ -33,7 +33,7 @@ from .errors import (
     ValidationError,
 )
 from .lattice import ORIGIN, Point, Tile
-from .limits import DEFAULT_LIMITS, Limits
+from .limits import DEFAULT_LIMITS, Limits, _over_cap
 
 PatternT = tuple[str, ...]
 
@@ -384,6 +384,13 @@ def import_prw(params: PrwParams, limits: Limits = DEFAULT_LIMITS) -> BasicData:
     The alphabet is the residues ``"0" .. str(q - 1)``.
     """
     tile, q, t, w = params.tile, params.q, params.t, params.w
+    reduced = tile.sorted_reduced
+    # Checked before the q symbols exist.  The one-cell tile (no reduced
+    # set) has one vertex but lists its whole alphabet: there q is capped.
+    size = _over_cap(q, len(reduced) + 1, limits.max_vertices)
+    if size is not None:
+        what = "symbols" if tile.degenerate else "vertices"
+        raise SizeLimit(f"{size} {what} would exceed the cap of {limits.max_vertices}")
     alphabet = Alphabet(tuple(str(i) for i in range(q)))
     if tile.degenerate:
         # Trace condition v(0) * w(0) == t has the single solution below.
@@ -392,12 +399,6 @@ def import_prw(params: PrwParams, limits: Limits = DEFAULT_LIMITS) -> BasicData:
 
     inv_br = pow(w[tile.corner_br], -1, q)
     w_ul = w[tile.corner_ul]
-    reduced = tile.sorted_reduced
-    if q ** (len(reduced) + 1) > limits.max_vertices:
-        raise SizeLimit(
-            f"{q ** (len(reduced) + 1)} vertices would exceed the cap of "
-            f"{limits.max_vertices}"
-        )
 
     table: dict[str, list[str]] = {}
     for pat in itertools.product(range(q), repeat=len(reduced)):

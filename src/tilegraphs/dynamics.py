@@ -26,16 +26,18 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .data import BasicData, PrwParams, Vertex, import_prw
-from .errors import DegenerateTile, InvariantViolation, SizeLimit
+from .errors import DegenerateTile, InvariantViolation
 from .graph import (
     BLUE,
     RED,
     Path,
     Skeleton,
     _axis,
+    _checked_path_count,
+    _path,
+    _slice,
     _walk_paths,
     build_skeleton,
-    factorize,
     path_count,
 )
 from .lattice import ORIGIN, Point, overlap, p_add, p_join, p_leq, p_meet, p_sub
@@ -278,10 +280,10 @@ def periodicity_witness_search(
     """
     depth = _witness_depth(bd, m, n, depth, limits)
     rest = p_sub(depth, p_join(m, n))
+    left, right = (_slice(bd.tile, depth, k, rest) for k in (m, n))
     for lam in _walk_paths(bd, [v], depth, skeleton, limits, True):
-        left = factorize(lam, m, p_add(m, rest))
-        if left.labels != factorize(lam, n, p_add(n, rest)).labels:
-            return lam
+        if [lam[k] for k in left] != [lam[k] for k in right]:
+            return _path(bd.tile, depth, lam)
     return None
 
 
@@ -324,11 +326,7 @@ def _witness_depth(
         depth = p_add(join, (2, 2))
     if not p_leq(join, depth):
         raise ValueError(f"depth {depth} must dominate the join {join}")
-    if path_count(bd, depth) > limits.max_paths:
-        raise SizeLimit(
-            f"{path_count(bd, depth)} paths of degree {depth} would exceed "
-            f"the cap of {limits.max_paths}"
-        )
+    _checked_path_count(bd, depth, 1, limits)
     return depth
 
 

@@ -16,15 +16,18 @@ rectangle row by row (bottom to top, right to left within a row) using the
 inverses.  Any consistent order would give the same labels; this one makes
 the intermediate states easy to test.
 
-Paths of one degree share a cached layout of ``T(n)`` (sorted cells, their
-slots, each window's slots), and each pair of operand degrees a cached
-compose plan (which slots each operand fills, then the fill steps in the
-order above), so composing, slicing and reading windows index symbol
-tuples instead of rebuilding dicts and translate unions on every call.
-The axiom checks in :mod:`tilegraphs.checks` run the same plans on symbol
-tuples directly, through :func:`_compose_symbols` and :func:`_slice`.
-One enumeration call walks all its range vertices on shared plans and edge
-paths; a plan's blank cells give the one-cell tile its distinguished symbol.
+Inside the library a path of degree ``n`` is the tuple of its symbols in
+the slot order of ``T(n)``'s cached layout (its cells, sorted); a ``Path``
+is built from one by :func:`_path` only where a public function returns
+it.  Each pair of operand degrees has a cached compose plan (which slots
+each operand fills, then the fill steps in the order above), and a slice,
+windows included, is the cached slot list :func:`_slice`, so composing,
+slicing and reading windows index symbol tuples instead of rebuilding
+dicts and translate unions on every call.  The axiom checks in
+:mod:`tilegraphs.checks` and the witness search in
+:mod:`tilegraphs.dynamics` read the walk's tuples directly.  Each edge's
+symbols are derived once per skeleton; a plan's blank cells give the
+one-cell tile its distinguished symbol.
 
 All values here are immutable; building and enumerating paths is pure.
 """
@@ -48,7 +51,6 @@ from .lattice import (
     ORIGIN,
     Point,
     Tile,
-    box,
     contained_translates,
     overlap,
     p_add,
@@ -57,7 +59,7 @@ from .lattice import (
     translate_union,
     unit,
 )
-from .limits import DEFAULT_LIMITS, Limits
+from .limits import DEFAULT_LIMITS, Limits, _over_cap
 
 BLUE, RED = "blue", "red"
 COLOUR_AXIS = {BLUE: 1, RED: 2}
@@ -95,14 +97,12 @@ class Path:
     def window(self, m: Point) -> Vertex:
         """The tile-window restriction at offset ``m`` (shifted back to the
         tile); ``OutOfRange`` unless ``0 <= m <= d(self)``."""
-        layout = _layout(self.tile, self.degree)
-        if m not in layout.windows:
+        if not (p_leq(ORIGIN, m) and p_leq(m, self.degree)):
             raise OutOfRange(f"window offset {m} is not within degree {self.degree}")
-        symbols = _symbols(self, layout.cells)
-        return vertex_from_labels(
-            self.tile,
-            dict(zip(self.tile.sorted_points, [symbols[k] for k in layout.windows[m]])),
-        )
+        symbols = _symbols(self)
+        slots = _slice(self.tile, self.degree, m, ORIGIN)
+        labels = dict(zip(self.tile.sorted_points, map(symbols.__getitem__, slots)))
+        return vertex_from_labels(self.tile, labels)
 
     @property
     def range_vertex(self) -> Vertex:
@@ -118,27 +118,27 @@ class Path:
 @dataclass(frozen=True, eq=False)
 class _Layout:
     """The cells of ``T(n)`` in sorted order (a path's symbols are read slot
-    by slot against them), each cell's slot, and for every window offset
-    ``m`` in ``[0, n]`` the slots of ``tile + m`` in the tile's point order."""
+    by slot against them) and each cell's slot."""
 
     cells: tuple[Point, ...]
     slot: dict[Point, int]
-    windows: dict[Point, tuple[int, ...]]
 
 
 @lru_cache(maxsize=256)
 def _layout(tile: Tile, n: Point) -> _Layout:
     cells = tuple(translate_union(tile, n).sorted_points)
-    slot = {c: i for i, c in enumerate(cells)}
-    windows = {
-        m: tuple(slot[p_add(t, m)] for t in tile.sorted_points)
-        for m in box(ORIGIN, n)
-    }
-    return _Layout(cells, slot, windows)
+    return _Layout(cells, {c: i for i, c in enumerate(cells)})
 
 
-def _symbols(path: Path, cells: tuple[Point, ...]) -> tuple[str, ...]:
-    """The symbols of ``path`` slot by slot, once its cells are ``cells``."""
+def _path(tile: Tile, n: Point, symbols) -> Path:
+    """The degree-``n`` path whose symbols, slot by slot, are ``symbols``."""
+    return Path(tile, n, tuple(zip(_layout(tile, n).cells, symbols)))
+
+
+def _symbols(path: Path) -> tuple[str, ...]:
+    """The symbols of ``path`` slot by slot; ``InvariantViolation`` unless
+    it labels exactly the sorted cells of ``T(d(path))``."""
+    cells = _layout(path.tile, path.degree).cells
     if len(path.labels) == len(cells):
         have, symbols = zip(*path.labels)
         if have == cells:
@@ -198,6 +198,7 @@ class Skeleton:
 
     def __post_init__(self):
         n = len(self.vertices)
+        self._edge_cache: dict[tuple[str, int, int], tuple[str, ...]] = {}
         self._out: dict[str, tuple[tuple[int, ...], ...]] = {}
         for colour in (BLUE, RED):
             adj: list[list[int]] = [[] for _ in range(n)]
@@ -232,15 +233,23 @@ class Skeleton:
     def edge_path(self, colour: str, v: int, u: int) -> Path:
         """The unique degree-``e_axis`` path with range ``v`` and source ``u``."""
         e = unit(_axis(colour))
-        labels = self.vertices[v].as_dict()
-        for t, s in self.vertices[u].labels:
-            q = p_add(t, e)
-            if q in labels and labels[q] != s:
-                raise InvariantViolation(
-                    f"edge ({v}, {u}, {colour}) has inconsistent overlap"
-                )
-            labels[q] = s
-        return Path.make(self.basic_data.tile, e, labels)
+        return _path(self.basic_data.tile, e, self._edge_symbols(colour, v, u))
+
+    def _edge_symbols(self, colour: str, v: int, u: int) -> tuple[str, ...]:
+        """The symbols of the edge ``v -> u`` in the slot order of ``T(e)``:
+        ``v``'s in the window at the origin, ``u``'s in the one at ``e``.
+        Derived at first use and cached on the skeleton."""
+        key = (colour, v, u)
+        if key not in self._edge_cache:
+            tile, e = self.basic_data.tile, unit(_axis(colour))
+            out = dict(zip(_slice(tile, e, ORIGIN, ORIGIN), self.vertices[v].symbols))
+            for k, s in zip(_slice(tile, e, e, ORIGIN), self.vertices[u].symbols):
+                if out.setdefault(k, s) != s:
+                    raise InvariantViolation(
+                        f"edge ({v}, {u}, {colour}) has inconsistent overlap"
+                    )
+            self._edge_cache[key] = tuple(out[k] for k in range(len(out)))
+        return self._edge_cache[key]
 
 
 def build_skeleton(
@@ -289,14 +298,17 @@ def build_skeleton(
 def to_dot(sk: Skeleton) -> str:
     """Deterministic DOT rendering: blue edges solid, red edges dashed.
 
-    Labels are DOT quoted strings, so ``\\`` and ``"`` in symbols are
-    escaped with a backslash."""
+    A label is the pattern key, ``|`` and the top symbol, as a DOT quoted
+    string: ``\\``, ``"`` and ``|`` in symbols are escaped with a
+    backslash, so no two vertices share a label."""
     from .data import pattern_key
+
+    def escape(s: str) -> str:
+        return s.replace("\\", "\\\\").replace('"', '\\"').replace("|", "\\|")
 
     lines = ["digraph skeleton {"]
     for i, v in enumerate(sk.vertices):
-        label = f"{pattern_key(v.pattern)}|{v.top}"
-        label = label.replace("\\", "\\\\").replace('"', '\\"')
+        label = f"{pattern_key([escape(s) for s in v.pattern])}|{escape(v.top)}"
         lines.append(f'  v{i} [label="{label}"];')
     for v, u in sk.blue:
         lines.append(f"  v{v} -> v{u} [color=blue, style=solid];")
@@ -397,12 +409,9 @@ class _ComposePlan:
     ``blank`` lists them instead for the one-cell tile.
     """
 
-    mu_cells: tuple[Point, ...]
-    nu_cells: tuple[Point, ...]
     mu_source: tuple[int, ...]
     nu_range: tuple[int, ...]
     total: Point
-    cells: tuple[Point, ...]
     gather: tuple[int, ...]
     steps: tuple[tuple, ...]
     blank: tuple[int, ...]
@@ -467,15 +476,15 @@ def _compose_plan(tile: Tile, dmu: Point, dnu: Point) -> _ComposePlan:
         ]
         blank = ()  # the steps fill every slot the operands leave
     return _ComposePlan(
-        lmu.cells, lnu.cells, lmu.windows[dmu], lnu.windows[ORIGIN], total,
-        out.cells, tuple(max(g, 0) for g in gather), tuple(steps), blank,
+        _slice(tile, dmu, dmu, ORIGIN), _slice(tile, dnu, ORIGIN, ORIGIN), total,
+        tuple(max(g, 0) for g in gather), tuple(steps), blank,
     )
 
 
 def _run_plan(bd: BasicData, plan: _ComposePlan, a, b) -> list[str]:
-    """The composite's symbols from operand symbols ``a`` and ``b`` (both
-    tuples or both lists) whose windows at ``dmu`` already match."""
-    out = list(map((a + b).__getitem__, plan.gather))
+    """The composite's symbols from operand symbols ``a`` and ``b`` whose
+    windows at ``dmu`` already match."""
+    out = list(map([*a, *b].__getitem__, plan.gather))
     for k in plan.blank:
         # One-cell tile: every uncovered cell carries the distinguished symbol.
         out[k] = bd.distinguished
@@ -513,18 +522,16 @@ def compose(bd: BasicData, mu: Path, nu: Path) -> Path:
         If ``mu``'s source window differs from ``nu``'s range window.
     """
     plan = _compose_plan(bd.tile, mu.degree, nu.degree)
-    a, b = _symbols(mu, plan.mu_cells), _symbols(nu, plan.nu_cells)
-    symbols = _compose_symbols(bd, plan, a, b)
-    return Path(bd.tile, plan.total, tuple(zip(plan.cells, symbols)))
+    symbols = _compose_symbols(bd, plan, _symbols(mu), _symbols(nu))
+    return _path(bd.tile, plan.total, symbols)
 
 
 @lru_cache(maxsize=256)
-def _slice(tile: Tile, degree: Point, m: Point, sub: Point):
-    """The cells of ``T(sub)`` and, for each, the slot of the cell ``m``
-    further on in ``T(degree)``."""
+def _slice(tile: Tile, degree: Point, m: Point, sub: Point) -> tuple[int, ...]:
+    """For each cell of ``T(sub)`` in slot order, the slot of the cell ``m``
+    further on in ``T(degree)``; ``sub = 0`` gives the window at ``m``."""
     slot = _layout(tile, degree).slot
-    cells = _layout(tile, sub).cells
-    return cells, tuple(slot[p_add(c, m)] for c in cells)
+    return tuple(slot[p_add(c, m)] for c in _layout(tile, sub).cells)
 
 
 def factorize(lam: Path, m: Point, n: Point) -> Path:
@@ -540,9 +547,9 @@ def factorize(lam: Path, m: Point, n: Point) -> Path:
             f"slice ({m}, {n}) is not within degree {lam.degree}"
         )
     sub = p_sub(n, m)
-    symbols = _symbols(lam, _layout(lam.tile, lam.degree).cells)
-    cells, slots = _slice(lam.tile, lam.degree, m, sub)
-    return Path(lam.tile, sub, tuple(zip(cells, map(symbols.__getitem__, slots))))
+    symbols = _symbols(lam)
+    slots = _slice(lam.tile, lam.degree, m, sub)
+    return _path(lam.tile, sub, map(symbols.__getitem__, slots))
 
 
 # -- enumeration --------------------------------------------------------------
@@ -553,13 +560,29 @@ def _check_degree(n: Point) -> None:
         raise OutOfRange(f"degree {n} has a negative coordinate")
 
 
+def _path_exponent(bd: BasicData, n: Point) -> int:
+    """``n1 c2 + n2 c1``, or 0 on the one-cell tile: the power of |A| that
+    counts the paths of degree ``n``."""
+    _check_degree(n)
+    return 0 if bd.degenerate else n[0] * bd.tile.c2 + n[1] * bd.tile.c1
+
+
 def path_count(bd: BasicData, n: Point) -> int:
     """|A| ** (n1 c2 + n2 c1): the number of paths of degree ``n`` from any
     fixed range vertex."""
-    _check_degree(n)
-    if bd.degenerate:
-        return 1
-    return len(bd.alphabet) ** (n[0] * bd.tile.c2 + n[1] * bd.tile.c1)
+    return len(bd.alphabet) ** _path_exponent(bd, n)
+
+
+def _checked_path_count(bd: BasicData, n: Point, roots: int, limits: Limits) -> int:
+    """``path_count(bd, n)``; ``SizeLimit`` first if ``roots`` times it
+    exceeds the path cap (a count too long to print is named as a power)."""
+    e = _path_exponent(bd, n)
+    size = _over_cap(len(bd.alphabet), e, limits.max_paths, roots)
+    if size is not None:
+        raise SizeLimit(
+            f"{size} paths of degree {n} would exceed the cap of {limits.max_paths}"
+        )
+    return len(bd.alphabet) ** e
 
 
 def enumerate_paths(
@@ -577,22 +600,18 @@ def enumerate_paths(
     ``strict=False`` drops the count cross-check, for suites that probe
     deliberately broken data.
     """
-    return list(_walk_paths(bd, [v], n, skeleton, limits, strict))
+    walk = _walk_paths(bd, [v], n, skeleton, limits, strict)
+    return [_path(bd.tile, n, symbols) for symbols in walk]
 
 
-def _walk_paths(bd, roots, n, skeleton, limits, strict) -> Iterator[Path]:
-    """The degree-``n`` paths from each root in turn, depth first: children
-    are composed in out-list order and pushed reversed on an explicit stack
-    (flat tiles reach degrees like ``(1500, 0)``).  One cap check covers all
-    roots; a root's strict count runs before its first compose."""
-    expected = path_count(bd, n)
-    if expected * len(roots) > limits.max_paths:
-        raise SizeLimit(
-            f"{expected * len(roots)} paths of degree {n} would exceed the cap "
-            f"of {limits.max_paths}"
-        )
+def _walk_paths(bd, roots, n, skeleton, limits, strict) -> Iterator[tuple[str, ...]]:
+    """The symbols of the degree-``n`` paths from each root in turn, in the
+    slot order of ``T(n)``, depth first: children are composed in out-list
+    order and pushed reversed on an explicit stack (flat tiles reach
+    degrees like ``(1500, 0)``).  One cap check covers all roots; a root's
+    strict count runs before its first compose."""
+    expected = _checked_path_count(bd, n, len(roots), limits)
     tile = bd.tile
-    cells = _layout(tile, n).cells
     sk = skeleton if skeleton is not None else build_skeleton(bd, limits)
     colours = (BLUE,) * n[0] + (RED,) * n[1]
     # Before step i the chain has degree (i, 0), or (n1, i - n1) once red.
@@ -600,7 +619,6 @@ def _walk_paths(bd, roots, n, skeleton, limits, strict) -> Iterator[Path]:
         _compose_plan(tile, (min(i, n[0]), max(i - n[0], 0)), unit(COLOUR_AXIS[c]))
         for i, c in enumerate(colours)
     ]
-    edges: dict[tuple[str, int, int], list[str]] = {}
     for v in roots:
         if v not in sk.index:
             raise ValidationError(f"range vertex {v.labels} is not a skeleton vertex")
@@ -617,18 +635,16 @@ def _walk_paths(bd, roots, n, skeleton, limits, strict) -> Iterator[Path]:
                     f"expected {expected}"
                 )
         # Nodes are (step, symbols, source): the next edge leaves that source.
-        stack = [(0, list(v.symbols), sk.index[v])]
+        stack = [(0, v.symbols, sk.index[v])]
         while stack:
             i, symbols, src = stack.pop()
             if i == len(plans):
-                yield Path(tile, n, tuple(zip(cells, symbols)))
+                yield tuple(symbols)
                 continue
             children = []
             for u in sk._out[colours[i]][src]:
-                key = (colours[i], src, u)
-                if key not in edges:
-                    edges[key] = list(_symbols(sk.edge_path(*key), plans[i].nu_cells))
-                children.append((i + 1, _run_plan(bd, plans[i], symbols, edges[key]), u))
+                edge = sk._edge_symbols(colours[i], src, u)
+                children.append((i + 1, _run_plan(bd, plans[i], symbols, edge), u))
             stack.extend(reversed(children))
 
 
@@ -641,4 +657,5 @@ def all_paths(
 ) -> list[Path]:
     """All paths of degree ``n``, grouped by range vertex in canonical order."""
     sk = skeleton if skeleton is not None else build_skeleton(bd, limits)
-    return list(_walk_paths(bd, sk.vertices, n, sk, limits, strict))
+    walk = _walk_paths(bd, sk.vertices, n, sk, limits, strict)
+    return [_path(bd.tile, n, symbols) for symbols in walk]

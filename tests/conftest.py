@@ -6,6 +6,7 @@ import pytest
 from hypothesis import strategies as st
 
 from tilegraphs import build_skeleton, parse_tile, validate_basic_data
+from tilegraphs.graph import Skeleton
 from tilegraphs.serialize import basic_data_from_dict
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
@@ -30,6 +31,22 @@ def small_data(draw, symbols=("0", "1")):
     for pat in itertools.product(symbols, repeat=len(tile.reduced)):
         table[",".join(pat)] = list(draw(st.permutations(symbols)))
     return validate_basic_data(tile, list(symbols), table)
+
+
+@pytest.fixture
+def edge_derivations(monkeypatch):
+    """The keys of the edge paths derived during a test, on any skeleton:
+    each call of ``Skeleton._edge_symbols`` on a key not cached yet."""
+    calls = []
+    edge_symbols = Skeleton._edge_symbols
+
+    def counted(sk, *key):
+        if key not in sk._edge_cache:
+            calls.append(key)
+        return edge_symbols(sk, *key)
+
+    monkeypatch.setattr(Skeleton, "_edge_symbols", counted)
+    return calls
 
 
 def load_corpus(name):

@@ -1,7 +1,8 @@
 import json
+import time
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import tilegraphs.cli as cli
 from tilegraphs import Skeleton, build_skeleton, import_prw, parse_tile, validate_prw
@@ -9,7 +10,7 @@ from tilegraphs.cli import main
 from tilegraphs.serialize import basic_data_from_dict, basic_data_to_dict, dumps
 
 from conftest import DATA_DIR
-from test_dynamics import twin_witness_evidence
+from test_dynamics import identity_data, twin_witness_evidence
 
 LEDRAPPIER = str(DATA_DIR / "ledrappier.json")
 SQUARE = str(DATA_DIR / "square.json")
@@ -330,6 +331,52 @@ class TestSizeCaps:
         assert diag["error"] == "SizeLimit"
         assert diag["message"].startswith("associativity: 33554432 ")
 
+    def test_witness_bound_past_the_printable_range_exits_3_at_once(self, capsys, tmp_path):
+        # 2 ** 2000000001 paths: refused from the exponent, neither built
+        # nor printed in decimal.
+        f = tmp_path / "identity.json"
+        f.write_text(dumps(basic_data_to_dict(identity_data())))
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "analyze", str(f), "--witness-bound", "1000000000,1000000000"
+        )
+        assert time.perf_counter() - start < 1
+        assert code == 3 and out == ""
+        assert json.loads(err) == {
+            "error": "SizeLimit",
+            "message": "2**2000000001 paths of degree (1000000001, 1000000000) "
+            "would exceed the cap of 200000",
+        }
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"q": 1000001}, "1000002000001 vertices would exceed the cap of 1024"),
+            ({"q": 10**4000 + 1}, f"{10**4000 + 1}**2 vertices would exceed the cap of 1024"),
+            (
+                {"tile": [[0, 0]], "q": 1025, "w": {"0,0": 1}},
+                "1025 symbols would exceed the cap of 1024",
+            ),
+        ],
+        ids=["1000001", "10**4000+1", "one-cell"],
+    )
+    def test_import_prw_modulus_cap_exits_3_at_once(self, capsys, tmp_path, change, message):
+        # Checked before an alphabet of q symbols is built.
+        f = tmp_path / "rule.json"
+        f.write_text(json.dumps({**RULE_DOC, **change}))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "import-prw", str(f))
+        assert time.perf_counter() - start < 1
+        assert code == 3 and out == ""
+        assert json.loads(err) == {"error": "SizeLimit", "message": message}
+
+    def test_one_cell_import_prw_up_to_the_vertex_cap(self, capsys, tmp_path):
+        f = tmp_path / "rule.json"
+        f.write_text(json.dumps({**RULE_DOC, "tile": [[0, 0]], "q": 1024, "w": {"0,0": 1}}))
+        code, out, _ = run(capsys, "import-prw", str(f))
+        assert code == 0
+        assert len(json.loads(out)["basic_data"]["alphabet"]) == 1024
+
 
 def test_repeated_runs_are_byte_identical(capsys):
     outputs = set()
@@ -486,6 +533,7 @@ SUBCOMMANDS = {
 
 @pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
 @given(doc=st.one_of(JSON_VALUES, NEAR_VALID))
+@example(doc={**RULE_DOC, "q": 2**70})
 @settings(
     max_examples=60,
     deadline=None,
@@ -500,6 +548,45 @@ def test_any_json_value_gets_an_exit_code_and_a_diagnostic(
         capsys,
         "--max-tile-cells", "8", "--max-vertices", "64", "--max-paths", "2000",
         command, str(f), *SUBCOMMANDS[command],
+    )
+    assert code in (0, 2, 3)
+    if code:
+        assert "error" in json.loads(err)
+
+
+DEGREES = st.tuples(st.integers(0, 10**12), st.integers(0, 10**12)).map(
+    lambda d: f"{d[0]},{d[1]}"
+)
+
+
+@given(
+    doc=st.sampled_from([LEDRAPPIER_DOC, basic_data_to_dict(identity_data())]),
+    option=st.one_of(
+        st.tuples(st.just("analyze"), st.just("--witness-bound"), DEGREES),
+        st.tuples(st.just("verify"), st.just("--degree"), DEGREES),
+        st.tuples(st.just("entropy"), st.just("--dmax"), st.integers(0, 10**12).map(str)),
+    ),
+)
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@example(doc=LEDRAPPIER_DOC, option=("verify", "--degree", "1000000000000,1000000000000"))
+@example(doc=LEDRAPPIER_DOC, option=("entropy", "--dmax", "1000000000000"))
+def test_any_degree_or_row_count_gets_an_exit_code_and_a_diagnostic(
+    capsys, tmp_path, doc, option
+):
+    # Caps are checked from the sizes asked for: no count is built or
+    # printed beyond what Python can handle, whatever the option's value.
+    # The identity table has no breaking cycle, so its witness bound is used.
+    command, flag, value = option
+    f = tmp_path / "doc.json"
+    f.write_text(json.dumps(doc))
+    code, _, err = run(
+        capsys,
+        "--max-tile-cells", "8", "--max-vertices", "64", "--max-paths", "2000",
+        command, str(f), flag, value,
     )
     assert code in (0, 2, 3)
     if code:

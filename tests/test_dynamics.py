@@ -619,6 +619,17 @@ class TestWitnessEvidenceAgainstTwin:
         assert note == twin_witness_evidence(bd, sk, bound)
         assert f"for {len(sk.vertices) * len(PAIRS)} " not in note  # not all witnessed
 
+    def test_each_edge_is_derived_at_most_once(self, edge_derivations):
+        # Every search walks the one skeleton, which keeps each edge's
+        # symbols once derived.
+        bd = identity_data()
+        sk = build_skeleton(bd)
+        note = witness_evidence(bd, sk, (1, 1), Limits())
+        assert note == twin_witness_evidence(bd, sk, (1, 1))
+        assert edge_derivations
+        assert len(edge_derivations) == len(set(edge_derivations))
+        assert len(edge_derivations) <= len(sk.blue) + len(sk.red)
+
     def test_caps_are_checked_before_the_first_search(self, monkeypatch):
         # At cap 8 the first pair's depth (2, 1) fits and the third's, (2, 2),
         # does not: the note is refused before any search runs.

@@ -308,6 +308,18 @@ class TestSkeleton:
         assert 'v0 [label="a\\"b|a\\"b"];' in dot
         assert '[label="c\\\\d|c\\\\d"];' in dot
 
+    def test_dot_labels_tell_vertices_apart(self):
+        # "|" joins the pattern key to the top symbol and may sit in symbols.
+        symbols = ["a", "b", "a|b", "b|b"]
+        tile = parse_tile([(0, 0), (1, 0), (0, 1)])
+        bd = validate_basic_data(tile, symbols, {s: symbols for s in symbols})
+        sk = build_skeleton(bd)
+        dot = to_dot(sk)
+        labels = [line.split("[label=", 1)[1] for line in dot.splitlines()
+                  if "[label=" in line]
+        assert len(labels) == len(set(labels)) == len(sk.vertices) == 16
+        assert 'v2 [label="a|a\\|b"];' in dot
+
 
 class TestFillCorners:
     def make_labels(self):
@@ -508,6 +520,28 @@ class TestEnumeratePaths:
                 ledrappier, v, (3, 3), skeleton=ledrappier_sk, limits=Limits(max_paths=63)
             )
 
+    def test_cap_past_the_printable_range(self, ledrappier, ledrappier_sk):
+        # 2 ** 200000 has 60,206 digits: refused from its exponent, unprinted.
+        n, v = (10**5, 10**5), ledrappier_sk.vertices[0]
+        with pytest.raises(SizeLimit) as err:
+            enumerate_paths(ledrappier, v, n, skeleton=ledrappier_sk)
+        assert str(err.value) == (
+            "2**200000 paths of degree (100000, 100000) would exceed the cap of 200000"
+        )
+        with pytest.raises(SizeLimit) as err:
+            all_paths(ledrappier, n, skeleton=ledrappier_sk)
+        assert str(err.value) == (
+            "4 * 2**200000 paths of degree (100000, 100000) would exceed the cap of 200000"
+        )
+        # The largest power Python still prints keeps its decimal message.
+        e = 14284  # 2 ** 14284 < 10 ** 4300 <= 2 ** 14285
+        with pytest.raises(SizeLimit) as err:
+            enumerate_paths(ledrappier, v, (e, 0), skeleton=ledrappier_sk)
+        assert str(err.value) == f"{2**e} paths of degree ({e}, 0) would exceed the cap of 200000"
+        with pytest.raises(SizeLimit) as err:
+            enumerate_paths(ledrappier, v, (e + 1, 0), skeleton=ledrappier_sk)
+        assert str(err.value).startswith(f"2**{e + 1} paths")
+
     def test_path_count_formula(self, ledrappier):
         assert path_count(ledrappier, (3, 2)) == 2 ** (3 * 1 + 2 * 1)
 
@@ -697,13 +731,13 @@ class TestAxiomSuites:
         import tilegraphs.checks as checks
 
         calls = Counter()
-        real = checks.all_paths
+        real = checks._walk_paths
 
-        def counted(bd, n, *args, **kwargs):
+        def counted(bd, roots, n, *args):
             calls[n] += 1
-            return real(bd, n, *args, **kwargs)
+            return real(bd, roots, n, *args)
 
-        monkeypatch.setattr(checks, "all_paths", counted)
+        monkeypatch.setattr(checks, "_walk_paths", counted)
         brute = Counter()
         real_brute = checks.brute_force_paths
 
@@ -1064,18 +1098,13 @@ class TestPlannedCoreAgainstTwin:
         assert got[0] is error
         assert got == outcome(twin_all_paths, bad, (1, 1), broken, Limits(), True)
 
-    def test_all_paths_derives_each_edge_path_once(self, rem3, rem3_sk, monkeypatch):
-        calls = []
-        edge_path = Skeleton.edge_path
-
-        def counted(sk, *key):
-            calls.append(key)
-            return edge_path(sk, *key)
-
-        monkeypatch.setattr(Skeleton, "edge_path", counted)
-        paths = all_paths(rem3, (2, 2), skeleton=rem3_sk, strict=False)
-        assert len(paths) == path_count(rem3, (2, 2)) * len(rem3_sk.vertices)
-        assert len(calls) == len(set(calls)) == len(rem3_sk.blue) + len(rem3_sk.red) == 48
+    def test_all_paths_derives_each_edge_path_once(self, rem3, edge_derivations):
+        # A fresh skeleton: edge symbols stay cached on it after the call.
+        sk = build_skeleton(rem3)
+        calls = edge_derivations
+        paths = all_paths(rem3, (2, 2), skeleton=sk, strict=False)
+        assert len(paths) == path_count(rem3, (2, 2)) * len(sk.vertices)
+        assert len(calls) == len(set(calls)) == len(sk.blue) + len(sk.red) == 48
 
     @given(core_cases(), st.integers(1, 300))
     @settings(max_examples=40, deadline=None)
