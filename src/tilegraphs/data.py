@@ -417,10 +417,10 @@ def prw_vertex_labellings(
     bijection construction in :func:`import_prw`.
     """
     tile, q, t, w = params.tile, params.q, params.t, params.w
-    if q ** len(tile.points) > limits.max_paths:
+    size = _over_cap(q, len(tile.points), limits.max_paths)
+    if size is not None:
         raise SizeLimit(
-            f"brute force over {q ** len(tile.points)} labellings exceeds the "
-            f"cap of {limits.max_paths}"
+            f"brute force over {size} labellings exceeds the cap of {limits.max_paths}"
         )
     pts = tile.sorted_points
     out = []

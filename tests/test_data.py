@@ -240,6 +240,20 @@ class TestPrwImport:
         assert ours == oracle
 
     @pytest.mark.parametrize(
+        "q, size",
+        [(59, "205379"), (10**2000 + 1, f"{10**2000 + 1}**3")],
+        ids=["decimal", "power"],
+    )
+    def test_brute_force_cap(self, q, size):
+        # A count past Python's 4,300 printable digits is named as a power.
+        params = validate_prw(TRIPOD, q, 0, {(0, 0): 1, (1, 0): 1, (0, 1): 1})
+        with pytest.raises(SizeLimit) as err:
+            prw_vertex_labellings(params)
+        assert str(err.value) == (
+            f"brute force over {size} labellings exceeds the cap of 200000"
+        )
+
+    @pytest.mark.parametrize(
         "tile,q,t,w",
         [
             (TRIPOD, 2, 0, {(0, 0): 1, (1, 0): 1, (0, 1): 1}),
