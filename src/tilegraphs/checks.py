@@ -39,6 +39,7 @@ from .graph import (
     _check_degree,
     _compose_plan,
     _compose_symbols,
+    _count_chains,
     _path,
     _slice,
     _symbols,
@@ -141,17 +142,16 @@ def check_commuting_squares(bd: BasicData, sk: Skeleton) -> CheckResult:
     Each branch reports its first failure in row-major order, and a pair
     mismatch anywhere outranks the other two."""
     want = path_count(bd, (1, 1))
-    out = sk.out_neighbours
     many = short = None  # the (detail, counterexample) of the later branches
     for v, vertex in enumerate(sk.vertices):
-        br = Counter(u for w in out(BLUE, v) for u in out(RED, w))  # head -> chains
-        rb = Counter(u for w in out(RED, v) for u in out(BLUE, w))
+        br = _count_chains({v: 1}, (sk._out[BLUE], sk._out[RED]))  # head -> chains
+        rb = _count_chains({v: 1}, (sk._out[RED], sk._out[BLUE]))
         if br != rb:
-            u = min(u for u in br.keys() | rb.keys() if br[u] != rb[u])
+            u = min(u for u in br.keys() | rb.keys() if br.get(u) != rb.get(u))
             return CheckResult(
                 "commuting-squares",
                 False,
-                f"{br[u]} blue-red but {rb[u]} red-blue chains "
+                f"{br.get(u, 0)} blue-red but {rb.get(u, 0)} red-blue chains "
                 f"from vertex {v} to {u}",
                 counterexample=(vertex, sk.vertices[u]),
             )
@@ -161,8 +161,9 @@ def check_commuting_squares(bd: BasicData, sk: Skeleton) -> CheckResult:
                 f"{br[two]} chains from vertex {v} to {two}, expected at most 1",
                 (vertex, sk.vertices[two]),
             )
-        if br.total() != want and short is None:
-            short = f"vertex {v} starts {br.total()} squares, expected {want}", vertex
+        total = sum(br.values())
+        if total != want and short is None:
+            short = f"vertex {v} starts {total} squares, expected {want}", vertex
     if many or short:
         return CheckResult("commuting-squares", False, *(many or short))
     # Every row now holds ``want`` partners once each.
@@ -178,6 +179,30 @@ def check_commuting_squares(bd: BasicData, sk: Skeleton) -> CheckResult:
     )
 
 
+def _check_split_count(bd: BasicData, degree: Point, vertices: int, limits: Limits):
+    """``SizeLimit`` if the path splits unique factorisation composes, the
+    sum over ``d <= degree`` of ``(d1 + 1)(d2 + 1) V |A| ** (d1 c2 + d2 c1)``,
+    pass the path cap.  It is ``V`` times one sum per axis, each read only
+    until it passes the cap, so no power beyond the cap is built."""
+    cap, total = limits.max_paths, vertices
+    for axis, top in enumerate(degree, 1):
+        x = path_count(bd, unit(axis))  # the paths one step on this axis adds
+        if x == 1:
+            part = (top + 1) * (top + 2) // 2
+        else:  # terms at least double: within log2(cap) + 2 of them
+            part = 0
+            for d in range(top + 1):
+                part += (d + 1) * x**d
+                if total * part > cap:
+                    break
+        total *= part
+        if total > cap:
+            raise SizeLimit(
+                f"unique factorisation: the path splits of degrees up to {degree} "
+                f"exceed the path cap of {cap}"
+            )
+
+
 def check_unique_factorisation(
     bd: BasicData,
     degree: Point,
@@ -191,11 +216,15 @@ def check_unique_factorisation(
     ``m + (d - m)``: (a) slicing a path and composing the slices returns
     the path; (b) composing *all* composable pairs of those degrees hits
     every degree-``d`` path exactly once.
+
+    More path splits in all than ``limits.max_paths`` raise
+    :class:`SizeLimit` before the first walk.
     """
     _check_degree(degree)
     tile = bd.tile
     try:
         sk = sk if sk is not None else build_skeleton(bd, limits, check=False)
+        _check_split_count(bd, degree, len(sk.vertices), limits)
         # Per degree: its paths' symbols, and the same by range window.  Box
         # order reaches every degree below ``d`` before ``d``, so a split's
         # operands are enumerated already, once each.
@@ -284,15 +313,10 @@ def check_associativity(
     try:
         sk = sk if sk is not None else build_skeleton(bd, limits, check=False)
         # Composable triples are the three-edge chains along the out-lists,
-        # in either colour at each step.  Counting the chains of each length
-        # from every vertex takes O(E) per length.
-        heads = sk.out_neighbours
+        # in either colour at each step: O(E) per step to count.
         vertices = range(len(sk.vertices))
-        succ = [heads(BLUE, v) + heads(RED, v) for v in vertices]
-        chains = [1] * len(succ)
-        for _ in range(3):
-            chains = [sum(chains[u] for u in succ[v]) for v in vertices]
-        count = sum(chains)
+        chains = _count_chains(dict.fromkeys(vertices, 1), [sk._out[BLUE, RED]] * 3)
+        count = sum(chains.values())
         if count > limits.max_paths:
             raise SizeLimit(
                 f"associativity: {count} composable edge triples exceed the "
@@ -304,7 +328,7 @@ def check_associativity(
         out: list[list[tuple[int, int]]] = [[] for _ in vertices]
         for v in vertices:
             for c in (BLUE, RED):
-                for u in heads(c, v):
+                for u in sk._out[c][v]:
                     out[v].append((u, len(edges)))
                     edges.append((unit(COLOUR_AXIS[c]), sk._edge_symbols(c, v, u)))
 

@@ -154,7 +154,7 @@ def cmd_import_prw(args) -> int:
             at = [pos[v.symbols] for v in sk.vertices]
             for colour, axis in COLOUR_AXIS.items():
                 have = {(at[i], at[j]) for i, j in sk.edges(colour)}
-                if set(_pairwise_edges(bd.tile, oracle, axis)) != have:
+                if set(_pairwise_edges(bd.tile, keys, axis)) != have:
                     edges_match = False
         summary = {
             "vertices": len(sk.vertices),

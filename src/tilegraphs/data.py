@@ -85,6 +85,7 @@ class Vertex:
     ``labels`` is sorted by point and total on the tile; ``pattern`` repeats
     the reduced-set symbols in lex point order; ``top`` sits at the
     upper-left extreme corner and ``corner`` at the bottom-right one.
+    ``symbols`` holds the labels' symbols alone, in their (tile slot) order.
     """
 
     labels: tuple[tuple[Point, str], ...]
@@ -92,18 +93,15 @@ class Vertex:
     top: str
     corner: str
 
+    def __post_init__(self):
+        # Not a field, so equality, hashing and repr are unchanged.
+        object.__setattr__(self, "symbols", tuple(s for _, s in self.labels))
+
     def label(self, point: Point) -> str:
-        for p, s in self.labels:
-            if p == point:
-                return s
-        raise KeyError(point)
+        return dict(self.labels)[point]
 
     def as_dict(self) -> dict[Point, str]:
         return dict(self.labels)
-
-    @property
-    def symbols(self) -> tuple[str, ...]:
-        return tuple(s for _, s in self.labels)
 
 
 def vertex_from_labels(tile: Tile, labels: Mapping[Point, str]) -> Vertex:

@@ -20,7 +20,6 @@ walks the paths one at a time and stops at the first witness;
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -34,13 +33,15 @@ from .graph import (
     Skeleton,
     _axis,
     _checked_path_count,
+    _count_chains,
+    _overlap_pairs,
     _path,
     _slice,
     _walk_paths,
     build_skeleton,
     path_count,
 )
-from .lattice import ORIGIN, Point, overlap, p_add, p_join, p_leq, p_meet, p_sub
+from .lattice import ORIGIN, Point, p_add, p_join, p_leq, p_meet, p_sub
 from .limits import DEFAULT_LIMITS, Limits
 
 
@@ -86,9 +87,9 @@ class SimplicityReport:
     notes: list[str] = field(default_factory=list)
 
 
-def _candidate_overlap(bd: BasicData, colour: str):
+def _candidate_overlap(bd: BasicData, colour: str) -> list[int]:
     """Blue candidates are constant on the e2-overlap, red on the e1-overlap."""
-    return overlap(bd.tile, 3 - _axis(colour))
+    return [m for m, _ in _overlap_pairs(bd.tile, 3 - _axis(colour))]
 
 
 def breaking_cycle_candidates(
@@ -96,12 +97,9 @@ def breaking_cycle_candidates(
 ) -> list[int]:
     """Indices of vertices reading ``symbol`` across the relevant overlap."""
     ov = _candidate_overlap(bd, colour)
-    out = []
-    for i, v in enumerate(sk.vertices):
-        d = v.as_dict()
-        if all(d[m] == symbol for m in ov):
-            out.append(i)
-    return out
+    return [
+        i for i, v in enumerate(sk.vertices) if all(v.symbols[k] == symbol for k in ov)
+    ]
 
 
 def find_breaking_cycle(
@@ -126,13 +124,13 @@ def find_breaking_cycle(
         return None
     sk = skeleton if skeleton is not None else build_skeleton(bd, limits)
     cands = breaking_cycle_candidates(bd, sk, colour, symbol)
-    looped = [i for i in cands if sk.has_edge(colour, i, i)]
+    looped = [i for i in cands if i in sk._out[colour][i]]
     if len(looped) >= 2:
         return BreakingCycle(
             colour, symbol, 2, tuple(sk.vertices[i] for i in looped)
         )
 
-    cycle = _shortest_cycle(cands, lambda v: sk.out_neighbours(colour, v))
+    cycle = _shortest_cycle(cands, sk._out[colour].__getitem__)
     if cycle is not None:
         return BreakingCycle(
             colour, symbol, 1, tuple(sk.vertices[i] for i in cycle)
@@ -179,7 +177,7 @@ def validate_breaking_cycle(
     idx = [sk.index[v] for v in cert.vertices]
     # Kind 1 needs the cycle's edges, kind 2 a self-loop at every vertex.
     links = {1: zip(idx, idx[1:] + idx[:1]), 2: zip(idx, idx)}.get(cert.kind)
-    return links is not None and all(sk.has_edge(cert.colour, v, u) for v, u in links)
+    return links is not None and all(u in sk._out[cert.colour][v] for v, u in links)
 
 
 def aperiodicity_verdict(
@@ -195,8 +193,8 @@ def aperiodicity_verdict(
     breaking cycle does not establish periodicity.
     """
     tile = bd.tile
+    sk = skeleton if skeleton is not None else build_skeleton(bd, limits)
     if tile.c1 == 0 or tile.c2 == 0:
-        sk = skeleton if skeleton is not None else build_skeleton(bd, limits)
         colour = BLUE if tile.c2 == 0 else RED
         cycles = colour_subgraph_cycles(sk, colour)
         lengths = sorted(len(c) for c in cycles)
@@ -210,7 +208,6 @@ def aperiodicity_verdict(
             f"{axis_name} period {period}; the graph is periodic and its "
             f"algebra is not simple",
         )
-    sk = skeleton if skeleton is not None else build_skeleton(bd, limits)
     for colour in (BLUE, RED):
         for symbol in bd.alphabet.symbols:
             cert = find_breaking_cycle(bd, colour, symbol, skeleton=sk, limits=limits)
@@ -238,8 +235,8 @@ def colour_subgraph_cycles(sk: Skeleton, colour: str) -> list[list[int]]:
         If some vertex does not have exactly one outgoing and one incoming
         edge of the colour (the subgraph is then no permutation).
     """
-    n = len(sk.vertices)
-    heads = [sk.out_neighbours(colour, v) for v in range(n)]
+    _axis(colour)  # rejects an unknown colour
+    n, heads = len(sk.vertices), sk._out[colour]
     for v, hs in enumerate(heads):
         if len(hs) > 1:
             raise InvariantViolation(
@@ -355,11 +352,9 @@ def strong_connectivity(
     degree = (k, k)
     if path_count(bd, degree) * nverts <= limits.max_paths:
         # Unique factorisation: sources of v's (k,k)-paths end its k-blue-k-red chains.
+        tables = [sk._out[BLUE]] * k + [sk._out[RED]] * k
         for v in range(nverts):
-            reached = {v}
-            for colour in (BLUE,) * k + (RED,) * k:
-                reached = {u for w in reached for u in sk.out_neighbours(colour, w)}
-            if len(reached) != nverts:
+            if len(_count_chains({v: 1}, tables)) != nverts:
                 raise InvariantViolation(
                     f"vertex {v} does not reach every vertex by a "
                     f"degree-{degree} path"
@@ -372,7 +367,7 @@ def strong_connectivity(
 
 def _bfs_strongly_connected(sk: Skeleton) -> bool:
     n = len(sk.vertices)
-    fwd = [sk.out_neighbours(BLUE, v) + sk.out_neighbours(RED, v) for v in range(n)]
+    fwd = sk._out[BLUE, RED]
     bwd: list[list[int]] = [[] for _ in range(n)]
     for v, heads in enumerate(fwd):
         for u in heads:
@@ -488,12 +483,7 @@ def cross_validate_prw(params: PrwParams, limits: Limits = DEFAULT_LIMITS):
     """
     check = prw_aperiodicity_check(params)
     bd = import_prw(params, limits=limits)
-    sk = build_skeleton(bd, limits)
-    cert = None
-    for colour, symbol in itertools.product((BLUE, RED), bd.alphabet.symbols):
-        cert = find_breaking_cycle(bd, colour, symbol, skeleton=sk, limits=limits)
-        if cert is not None:
-            break
+    cert = aperiodicity_verdict(bd, limits=limits).certificate
     if check and cert is None:
         raise InvariantViolation(
             "rule-level aperiodicity check passed but no breaking cycle exists"

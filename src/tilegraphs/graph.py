@@ -38,7 +38,13 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator, Mapping, Sequence
 
-from .data import BasicData, Vertex, vertex_from_labels
+from .data import (
+    BasicData,
+    Vertex,
+    enumerate_vertices,
+    pattern_key,
+    vertex_from_labels,
+)
 from .errors import (
     InconsistentInput,
     InvariantViolation,
@@ -89,7 +95,7 @@ class Path:
         return Path(tile, ORIGIN, v.labels)
 
     def label(self, point: Point) -> str:
-        return self.as_dict()[point]
+        return dict(self.labels)[point]
 
     def as_dict(self) -> dict[Point, str]:
         return dict(self.labels)
@@ -150,33 +156,32 @@ def _symbols(path: Path) -> tuple[str, ...]:
 
 
 @lru_cache(maxsize=64)
-def _overlap_pairs(tile: Tile, axis: int) -> tuple[tuple[Point, Point], ...]:
-    """``(m, m - e_axis)`` for each ``m`` of ``T n (T + e_axis)``, sorted."""
-    e = unit(axis)
-    return tuple((m, p_sub(m, e)) for m in overlap(tile, axis))
+def _overlap_pairs(tile: Tile, axis: int) -> tuple[tuple[int, int], ...]:
+    """Tile slots of ``(m, m - e_axis)`` for each ``m`` of ``T n (T + e_axis)``."""
+    e, slot = unit(axis), _layout(tile, ORIGIN).slot
+    return tuple((slot[m], slot[p_sub(m, e)]) for m in overlap(tile, axis))
 
 
 def edge_condition(tile: Tile, v: Vertex, u: Vertex, axis: int) -> bool:
     """Whether the degree-``e_axis`` edge from ``v`` to ``u`` exists."""
-    vd, ud = v.as_dict(), u.as_dict()
-    return all(vd[m] == ud[k] for m, k in _overlap_pairs(tile, axis))
+    return all(v.symbols[m] == u.symbols[k] for m, k in _overlap_pairs(tile, axis))
 
 
 def _pairwise_edges(
-    tile: Tile, labellings: Sequence[Mapping[Point, str]], axis: int
+    tile: Tile, keys: Sequence[tuple[str, ...]], axis: int
 ) -> tuple[tuple[int, int], ...]:
-    """Every ordered pair ``(i, j)`` of tile labellings joined by a
-    degree-``e_axis`` edge, in row-major order.
+    """Every ordered pair ``(i, j)`` of tile labellings (symbols by tile
+    slot) joined by a degree-``e_axis`` edge, in row-major order.
 
     The :func:`edge_condition` scan over all V² pairs, with each labelling
-    read once: its head key (labels at ``m``) and tail key (labels at
+    read once: its head key (symbols at ``m``) and tail key (symbols at
     ``m - e``) on the overlap, so ``i -> j`` iff ``head[i] == tail[j]``.
     Beyond the overlap pairs it shares no code with the join in
     :func:`build_skeleton`, so it can check that join.
     """
     pairs = _overlap_pairs(tile, axis)
-    heads = [tuple(d[m] for m, _ in pairs) for d in labellings]
-    tails = [tuple(d[k] for _, k in pairs) for d in labellings]
+    heads = [tuple([s[m] for m, _ in pairs]) for s in keys]
+    tails = [tuple([s[k] for _, k in pairs]) for s in keys]
     return tuple(
         (i, j) for i, h in enumerate(heads) for j, t in enumerate(tails) if h == t
     )
@@ -188,6 +193,8 @@ class Skeleton:
 
     Edges are ordered pairs of vertex indices ``(v, u)`` with ``v`` the
     range-side window; there is at most one edge per colour per pair.
+    Every walk reads ``_out``: each vertex's heads per colour, ascending,
+    and under ``(BLUE, RED)`` the blue heads, then the red.
     """
 
     basic_data: BasicData
@@ -199,26 +206,24 @@ class Skeleton:
     def __post_init__(self):
         n = len(self.vertices)
         self._edge_cache: dict[tuple[str, int, int], tuple[str, ...]] = {}
-        self._out: dict[str, tuple[tuple[int, ...], ...]] = {}
+        out = self._out = {}
         for colour in (BLUE, RED):
             adj: list[list[int]] = [[] for _ in range(n)]
             for v, u in self.edges(colour):
                 adj[v].append(u)
-            self._out[colour] = tuple(tuple(sorted(row)) for row in adj)
+            out[colour] = tuple(tuple(sorted(row)) for row in adj)
+        out[BLUE, RED] = tuple(map(tuple.__add__, out[BLUE], out[RED]))
 
     def edges(self, colour: str) -> tuple[tuple[int, int], ...]:
         return self.blue if _axis(colour) == 1 else self.red
 
-    def _adjacency(self, colour: str) -> tuple[tuple[int, ...], ...]:
-        """Per vertex, the heads of its ``colour`` edges in ascending order."""
-        _axis(colour)  # rejects an unknown colour
-        return self._out[colour]
-
     def out_neighbours(self, colour: str, v: int) -> list[int]:
-        return list(self._adjacency(colour)[v])
+        _axis(colour)  # rejects an unknown colour
+        return list(self._out[colour][v])
 
     def has_edge(self, colour: str, v: int, u: int) -> bool:
-        return u in self._adjacency(colour)[v]
+        _axis(colour)
+        return u in self._out[colour][v]
 
     def matrix(self, colour: str):
         """The dense 0/1 int64 numpy adjacency matrix; only it imports numpy."""
@@ -269,21 +274,19 @@ def build_skeleton(
     its zero extent, the overlap is empty: every vertex shares the one
     empty key, so the result is the complete digraph in that colour.
     """
-    from .data import enumerate_vertices
-
     vertices = tuple(enumerate_vertices(bd, limits))
     index = {v: i for i, v in enumerate(vertices)}
-    labels = [v.as_dict() for v in vertices]
+    symbols = [v.symbols for v in vertices]
     edges: dict[str, list[tuple[int, int]]] = {}
     for colour, axis in COLOUR_AXIS.items():
         pairs = _overlap_pairs(bd.tile, axis)
         buckets: dict[tuple[str, ...], list[int]] = {}
-        for j, d in enumerate(labels):
-            buckets.setdefault(tuple(d[k] for _, k in pairs), []).append(j)
+        for j, s in enumerate(symbols):
+            buckets.setdefault(tuple([s[k] for _, k in pairs]), []).append(j)
         edges[colour] = [
             (i, j)
-            for i, d in enumerate(labels)
-            for j in buckets.get(tuple(d[m] for m, _ in pairs), ())
+            for i, s in enumerate(symbols)
+            for j in buckets.get(tuple([s[m] for m, _ in pairs]), ())
         ]
     sk = Skeleton(bd, vertices, tuple(edges[BLUE]), tuple(edges[RED]), index)
     if check:
@@ -301,7 +304,6 @@ def to_dot(sk: Skeleton) -> str:
     A label is the pattern key, ``|`` and the top symbol, as a DOT quoted
     string: ``\\``, ``"`` and ``|`` in symbols are escaped with a
     backslash, so no two vertices share a label."""
-    from .data import pattern_key
 
     def escape(s: str) -> str:
         return s.replace("\\", "\\\\").replace('"', '\\"').replace("|", "\\|")
@@ -604,6 +606,17 @@ def enumerate_paths(
     return [_path(bd.tile, n, symbols) for symbols in walk]
 
 
+def _count_chains(counts, tables) -> dict[int, int]:
+    """Edge chains by their last vertex: from ``counts`` (chains so far),
+    one step along each out-list table in turn, in exact ints."""
+    for table in tables:
+        counts, last = {}, counts
+        for w, c in last.items():
+            for u in table[w]:
+                counts[u] = counts.get(u, 0) + c
+    return counts
+
+
 def _walk_paths(bd, roots, n, skeleton, limits, strict) -> Iterator[tuple[str, ...]]:
     """The symbols of the degree-``n`` paths from each root in turn, in the
     slot order of ``T(n)``, depth first: children are composed in out-list
@@ -614,6 +627,7 @@ def _walk_paths(bd, roots, n, skeleton, limits, strict) -> Iterator[tuple[str, .
     tile = bd.tile
     sk = skeleton if skeleton is not None else build_skeleton(bd, limits)
     colours = (BLUE,) * n[0] + (RED,) * n[1]
+    tables = [sk._out[c] for c in colours]
     # Before step i the chain has degree (i, 0), or (n1, i - n1) once red.
     plans = [
         _compose_plan(tile, (min(i, n[0]), max(i - n[0], 0)), unit(COLOUR_AXIS[c]))
@@ -623,16 +637,10 @@ def _walk_paths(bd, roots, n, skeleton, limits, strict) -> Iterator[tuple[str, .
         if v not in sk.index:
             raise ValidationError(f"range vertex {v.labels} is not a skeleton vertex")
         if strict:
-            reach = {sk.index[v]: 1}  # edge chains so far, by their last vertex
-            for colour in colours:
-                reach, last = {}, reach
-                for w, count in last.items():
-                    for u in sk._out[colour][w]:
-                        reach[u] = reach.get(u, 0) + count
-            if sum(reach.values()) != expected:
+            chains = sum(_count_chains({sk.index[v]: 1}, tables).values())
+            if chains != expected:
                 raise InvariantViolation(
-                    f"enumerated {sum(reach.values())} paths of degree {n}, "
-                    f"expected {expected}"
+                    f"enumerated {chains} paths of degree {n}, expected {expected}"
                 )
         # Nodes are (step, symbols, source): the next edge leaves that source.
         stack = [(0, v.symbols, sk.index[v])]
@@ -642,7 +650,7 @@ def _walk_paths(bd, roots, n, skeleton, limits, strict) -> Iterator[tuple[str, .
                 yield tuple(symbols)
                 continue
             children = []
-            for u in sk._out[colours[i]][src]:
+            for u in tables[i][src]:
                 edge = sk._edge_symbols(colours[i], src, u)
                 children.append((i + 1, _run_plan(bd, plans[i], symbols, edge), u))
             stack.extend(reversed(children))

@@ -71,7 +71,7 @@ def window_admissible(bd: BasicData, config: WindowConfig) -> bool:
     Vacuously true when no translate of the tile fits inside the region.
     """
     offsets = contained_translates(bd.tile, config.region)
-    return bd.bad_window(config.as_dict(), offsets) is None
+    return bd.bad_window(dict(config.labels), offsets) is None
 
 
 def path_to_config(path: Path) -> WindowConfig:

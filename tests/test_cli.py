@@ -370,6 +370,41 @@ class TestSizeCaps:
         assert code == 3 and out == ""
         assert json.loads(err) == {"error": "SizeLimit", "message": message}
 
+    @pytest.mark.parametrize(
+        "doc,degree",
+        [(FLAT, "1000000000000,0"), (None, "1000000000000,1000000000000")],
+        ids=["flat", "one-cell"],
+    )
+    def test_split_cap_exits_3_at_once(self, capsys, tmp_path, doc, degree):
+        # One path per degree, but (a + 1)(b + 1) degrees to split: refused
+        # from the split count before the first walk.
+        if doc is None:
+            doc = tmp_path / "one-cell.json"
+            doc.write_text(json.dumps(ONE_CELL_DOC))
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "--max-paths", "2000", "verify", str(doc), "--degree", degree
+        )
+        assert time.perf_counter() - start < 1
+        assert code == 3 and out == ""
+        assert json.loads(err) == {
+            "error": "SizeLimit",
+            "message": f"unique factorisation: the path splits of degrees up to "
+            f"({degree.replace(',', ', ')}) exceed the path cap of 2000",
+        }
+
+    def test_split_cap_on_ledrappier(self, capsys):
+        # 4 * (1 + 2 * 2 + 3 * 4) ** 2 = 1,156 splits at degree (2, 2).
+        argv = ("verify", LEDRAPPIER, "--degree", "2,2")
+        code, _, _ = run(capsys, "--max-paths", "1156", *argv)
+        assert code == 0
+        code, out, err = run(capsys, "--max-paths", "1155", *argv)
+        assert code == 3 and out == ""
+        assert json.loads(err)["message"] == (
+            "unique factorisation: the path splits of degrees up to (2, 2) "
+            "exceed the path cap of 1155"
+        )
+
     def test_one_cell_import_prw_up_to_the_vertex_cap(self, capsys, tmp_path):
         f = tmp_path / "rule.json"
         f.write_text(json.dumps({**RULE_DOC, "tile": [[0, 0]], "q": 1024, "w": {"0,0": 1}}))
@@ -433,6 +468,7 @@ LEDRAPPIER_DOC = {
     "bijections": {"0": ["0", "1"], "1": ["1", "0"]},
 }
 RULE_DOC = {"tile": TRIPOD, "q": 2, "t": 0, "w": {"0,0": 1, "1,0": 1, "0,1": 1}}
+ONE_CELL_DOC = {"alphabet": ["0", "1"], "tile": [[0, 0]], "distinguished": "1"}
 
 
 @pytest.mark.parametrize(
@@ -560,7 +596,12 @@ DEGREES = st.tuples(st.integers(0, 10**12), st.integers(0, 10**12)).map(
 
 
 @given(
-    doc=st.sampled_from([LEDRAPPIER_DOC, basic_data_to_dict(identity_data())]),
+    doc=st.sampled_from([
+        LEDRAPPIER_DOC,
+        basic_data_to_dict(identity_data()),
+        json.loads((DATA_DIR / "flat.json").read_text()),
+        ONE_CELL_DOC,
+    ]),
     option=st.one_of(
         st.tuples(st.just("analyze"), st.just("--witness-bound"), DEGREES),
         st.tuples(st.just("verify"), st.just("--degree"), DEGREES),
@@ -579,7 +620,9 @@ def test_any_degree_or_row_count_gets_an_exit_code_and_a_diagnostic(
 ):
     # Caps are checked from the sizes asked for: no count is built or
     # printed beyond what Python can handle, whatever the option's value.
-    # The identity table has no breaking cycle, so its witness bound is used.
+    # The identity table has no breaking cycle, so its witness bound is used;
+    # the flat row and the one-cell table have one path per degree along an
+    # axis, so only the split count bounds their verify.
     command, flag, value = option
     f = tmp_path / "doc.json"
     f.write_text(json.dumps(doc))

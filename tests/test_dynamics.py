@@ -137,8 +137,9 @@ class TestFindBreakingCycle:
         [
             lambda bd, sk, s: find_breaking_cycle(bd, "green", s, skeleton=sk),
             lambda bd, sk, s: breaking_cycle_candidates(bd, sk, "green", s),
+            lambda bd, sk, s: colour_subgraph_cycles(sk, "green"),
         ],
-        ids=["find", "candidates"],
+        ids=["find", "candidates", "cycles"],
     )
     @pytest.mark.parametrize("symbol", ["0", "not-a-symbol"])
     def test_unknown_colour_is_rejected(self, ledrappier, ledrappier_sk, call, symbol):
@@ -547,6 +548,51 @@ class TestConnectivityAgainstEnumeration:
         bd = sk.basic_data
         assert connectivity_outcome(exhaustive_k, bd, sk) == message
         assert connectivity_outcome(enumerated_connectivity, bd, sk) == message
+
+
+def set_loop_connectivity(bd, sk):
+    """The exhaustive branch as the library first counted it: the vertex set
+    each vertex reaches by k blue, then k red steps along the out-lists."""
+    k = 1
+    while (k, k) in bd.tile.points:
+        k += 1
+    n = len(sk.vertices)
+    for v in range(n):
+        reached = {v}
+        for colour in (BLUE,) * k + (RED,) * k:
+            reached = {u for w in reached for u in sk.out_neighbours(colour, w)}
+        if len(reached) != n:
+            raise InvariantViolation(
+                f"vertex {v} does not reach every vertex by a "
+                f"degree-{(k, k)} path"
+            )
+    return k
+
+
+LEDRAPPIER_PAIRS = list(itertools.product(range(4), repeat=2))
+SQUARE_PAIRS = list(itertools.product(range(8), repeat=2))
+
+
+class TestConnectivityAgainstTheSetLoop:
+    @given(
+        st.sampled_from(["ledrappier", "square"]),
+        st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_rewired_skeletons(self, ledrappier_sk, square_sk, name, data):
+        sk = ledrappier_sk if name == "ledrappier" else square_sk
+        pairs = LEDRAPPIER_PAIRS if name == "ledrappier" else SQUARE_PAIRS
+        # Mostly the skeleton's own edges, with a few dropped or added.
+        blue, red = (
+            data.draw(st.sets(st.sampled_from(pairs)).map(set(edges).__xor__))
+            for edges in (sk.blue, sk.red)
+        )
+        sk = Skeleton(sk.basic_data, sk.vertices, tuple(sorted(blue)),
+                      tuple(sorted(red)), sk.index)
+        bd = sk.basic_data
+        assert connectivity_outcome(exhaustive_k, bd, sk) == connectivity_outcome(
+            set_loop_connectivity, bd, sk
+        )
 
 
 # -- the batched twin of the witness evidence ----------------------------------

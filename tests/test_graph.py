@@ -44,6 +44,7 @@ from tilegraphs import (
 )
 from tilegraphs.checks import (
     CheckResult,
+    _check_split_count,
     brute_force_paths,
     check_associativity,
     check_commuting_squares,
@@ -52,7 +53,7 @@ from tilegraphs.checks import (
     run_axiom_suite,
 )
 from tilegraphs.data import Alphabet, BasicData, vertex_from_labels
-from tilegraphs.graph import _pairwise_edges
+from tilegraphs.graph import _count_chains, _pairwise_edges
 from tilegraphs.lattice import box, contained_translates, p_add, p_leq
 from tilegraphs.shifts import WindowConfig
 from tilegraphs.limits import Limits
@@ -219,11 +220,11 @@ class TestSkeleton:
         bd = import_prw(modular_rule([(0, 0), (1, 0), (2, 0), (0, 1), (0, 2)]))
         sk = build_skeleton(bd)
         assert len(sk.vertices) == 256
-        labellings = [v.as_dict() for v in sk.vertices]
+        keys = [v.symbols for v in sk.vertices]
         for colour, axis in (("blue", 1), ("red", 2)):
             defined = pairwise_edges(bd, sk, colour)
             assert sk.edges(colour) == defined
-            assert _pairwise_edges(bd.tile, labellings, axis) == defined
+            assert _pairwise_edges(bd.tile, keys, axis) == defined
             assert len(defined) == 4_096
 
     @given(
@@ -243,9 +244,9 @@ class TestSkeleton:
         # edge_condition on every ordered pair of that list.
         vertices = list(build_skeleton(bd, check=False).vertices)
         rnd.shuffle(vertices)
-        labellings = [v.as_dict() for v in vertices]
+        keys = [v.symbols for v in vertices]
         for axis in (1, 2):
-            assert _pairwise_edges(bd.tile, labellings, axis) == tuple(
+            assert _pairwise_edges(bd.tile, keys, axis) == tuple(
                 (i, j)
                 for i, v in enumerate(vertices)
                 for j, u in enumerate(vertices)
@@ -254,12 +255,12 @@ class TestSkeleton:
 
     def test_overlap_key_scan_on_a_flat_tile(self, flat, flat_sk):
         # The flat row has no red overlap: every ordered pair is a red edge.
-        labellings = [v.as_dict() for v in flat_sk.vertices]
-        n = len(labellings)
-        assert _pairwise_edges(flat.tile, labellings, 2) == tuple(
+        keys = [v.symbols for v in flat_sk.vertices]
+        n = len(keys)
+        assert _pairwise_edges(flat.tile, keys, 2) == tuple(
             itertools.product(range(n), repeat=2)
         )
-        assert _pairwise_edges(flat.tile, labellings, 1) == flat_sk.blue
+        assert _pairwise_edges(flat.tile, keys, 1) == flat_sk.blue
 
     def test_vertex_cap_graph_has_16_edges_per_vertex(self):
         bd = import_prw(
@@ -1357,6 +1358,31 @@ class TestCommutingSquaresAgainstTwin:
         assert squares_match_the_twin(build_skeleton(bd)).ok
 
 
+def explicit_chains(sk, starts, word):
+    """Every edge chain as its vertex list: ``starts[v]`` copies of ``[v]``,
+    then one edge per colour of ``word`` (``("blue", "red")``: either)."""
+    edges = {"blue": sk.blue, "red": sk.red, ("blue", "red"): sk.blue + sk.red}
+    chains = [[v] for v, count in starts.items() for _ in range(count)]
+    for colour in word:
+        chains = [ch + [u] for ch in chains for w, u in edges[colour] if w == ch[-1]]
+    return chains
+
+
+class TestCountChainsAgainstChainLists:
+    @given(
+        st.sets(st.sampled_from(LEDRAPPIER_PAIRS)),
+        st.sets(st.sampled_from(LEDRAPPIER_PAIRS)),
+        st.dictionaries(st.integers(0, 3), st.integers(1, 3), min_size=1),
+        st.lists(st.sampled_from(["blue", "red", ("blue", "red")]), max_size=3),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_rewired_skeletons(self, ledrappier_sk, blue, red, starts, word):
+        sk = rewired(ledrappier_sk, blue, red)
+        got = _count_chains(starts, [sk._out[c] for c in word])
+        want = Counter(ch[-1] for ch in explicit_chains(sk, starts, word))
+        assert got == dict(want)
+
+
 def test_only_the_matrix_imports_numpy(square_sk):
     # Importing the CLI loads every module; numpy must stay out of it.
     probe = "import sys, tilegraphs.cli; print('numpy' in sys.modules)"
@@ -1385,9 +1411,65 @@ def test_only_the_matrix_imports_numpy(square_sk):
 # cached compose plans, and must return the same results.
 
 
+def split_count(bd, degree, vertices):
+    """The path splits unique factorisation composes, summed degree by
+    degree: ``(d1 + 1)(d2 + 1)`` splits of each of the degree's paths."""
+    return sum(
+        (d[0] + 1) * (d[1] + 1) * vertices * path_count(bd, d)
+        for d in box((0, 0), degree)
+    )
+
+
+class TestSplitCap:
+    @pytest.mark.parametrize(
+        "name", ["ledrappier", "square", "rem3", "flat", "one-cell"]
+    )
+    def test_cap_at_the_split_count(self, name, request):
+        # The check's cap is the direct sum: every cap from the count up
+        # passes, every cap below it refuses (each one while the count is
+        # small, so a cap equal to a partial sum is tried too).
+        bd = ONE_CELL if name == "one-cell" else request.getfixturevalue(name)
+        vertices = bd.vertex_count()
+        for degree in box((0, 0), (3, 3)):
+            want = split_count(bd, degree, vertices)
+            _check_split_count(bd, degree, vertices, Limits(max_paths=want))
+            for cap in range(1, want) if want <= 3000 else [want - 1]:
+                with pytest.raises(SizeLimit) as err:
+                    _check_split_count(bd, degree, vertices, Limits(max_paths=cap))
+            if want > 1:
+                assert str(err.value) == (
+                    f"unique factorisation: the path splits of degrees up to "
+                    f"{degree} exceed the path cap of {want - 1}"
+                )
+
+    @pytest.mark.parametrize(
+        "name,degree,count",
+        [
+            ("ledrappier", (2, 2), 1_156),
+            ("ledrappier", (4, 4), 66_564),
+            ("rem3", (2, 2), 7_752),
+            ("rem3", (3, 3), 122_696),
+            ("rem3", (4, 4), 1_643_976),
+        ],
+    )
+    def test_split_counts_of_the_bundled_graphs(self, name, degree, count, request):
+        bd = request.getfixturevalue(name)
+        assert split_count(bd, degree, bd.vertex_count()) == count
+        if (name, degree) == ("rem3", (2, 2)):
+            # The default degree's largest count, far within the default cap.
+            for other in ("ledrappier", "square", "rem3", "flat"):
+                bd = request.getfixturevalue(other)
+                assert split_count(bd, degree, bd.vertex_count()) <= count
+
+
 def twin_unique_factorisation(bd, degree, sk=None, limits=Limits()):
     try:
         sk = sk if sk is not None else build_skeleton(bd, limits, check=False)
+        if split_count(bd, degree, len(sk.vertices)) > limits.max_paths:
+            raise SizeLimit(
+                f"unique factorisation: the path splits of degrees up to {degree} "
+                f"exceed the path cap of {limits.max_paths}"
+            )
         enumerated = {}
         for d in box((0, 0), degree):
             chained = all_paths(bd, d, skeleton=sk, limits=limits, strict=False)
