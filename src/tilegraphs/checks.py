@@ -37,6 +37,7 @@ from .graph import (
     Path,
     Skeleton,
     _check_degree,
+    _check_windows,
     _compose_plan,
     _compose_symbols,
     _count_chains,
@@ -69,6 +70,7 @@ def brute_force_paths(
     set, independent of skeleton edges and corner filling.
     """
     _check_degree(n)
+    _check_windows(n, limits)
     tile = bd.tile
     cells = translate_union(tile, n).sorted_points
     # Window offsets keyed by their window's last cell: translation keeps

@@ -20,7 +20,7 @@ import sys
 from .checks import run_axiom_suite
 from .data import import_prw, prw_vertex_labellings
 from .dynamics import AperiodicityStatus, simplicity_report, witness_evidence
-from .errors import TileGraphError, ValidationError
+from .errors import SizeLimit, TileGraphError, ValidationError
 from .graph import COLOUR_AXIS, _pairwise_edges, build_skeleton, to_dot
 from .limits import Limits
 from .serialize import (
@@ -141,13 +141,20 @@ def cmd_import_prw(args) -> int:
     sk = build_skeleton(bd, limits)
 
     summary: dict[str, object]
-    brute_budget = params.q ** len(params.tile.points)
-    if brute_budget <= limits.max_paths:
+    try:
         oracle = prw_vertex_labellings(params, limits=limits)
+    except SizeLimit:
+        summary = {
+            "vertices": len(sk.vertices),
+            "vertex_sets_equal": None,
+            "edge_sets_equal": None,
+            "note": "brute-force comparison skipped (size cap)",
+        }
+    else:
         keys = [tuple(d[p] for p in bd.tile.sorted_points) for d in oracle]
         vertices_match = sorted(keys) == sorted(v.symbols for v in sk.vertices)
         edges_match = True
-        if vertices_match and not bd.degenerate:
+        if vertices_match:
             # Edges indexed by position in the oracle list, found by the
             # pairwise scan rather than the skeleton's join.
             pos = {key: i for i, key in enumerate(keys)}
@@ -160,13 +167,6 @@ def cmd_import_prw(args) -> int:
             "vertices": len(sk.vertices),
             "vertex_sets_equal": vertices_match,
             "edge_sets_equal": edges_match,
-        }
-    else:
-        summary = {
-            "vertices": len(sk.vertices),
-            "vertex_sets_equal": None,
-            "edge_sets_equal": None,
-            "note": "brute-force comparison skipped (size cap)",
         }
 
     doc = {"basic_data": basic_data_to_dict(bd), "isomorphism_check": summary}

@@ -116,6 +116,19 @@ def vertex_from_labels(tile: Tile, labels: Mapping[Point, str]) -> Vertex:
     )
 
 
+def _vertex_exponent(tile: Tile) -> int:
+    """``|P| + 1``, or 0 on the one-cell tile: the power of |A| that counts
+    the vertices, read off the tile alone."""
+    return 0 if tile.degenerate else len(tile.reduced) + 1
+
+
+def _check_vertex_cap(base: int, e: int, limits: Limits, what: str = "vertices"):
+    """``SizeLimit`` if ``base ** e`` ``what`` exceed the vertex cap."""
+    size = _over_cap(base, e, limits.max_vertices)
+    if size is not None:
+        raise SizeLimit(f"{size} {what} would exceed the cap of {limits.max_vertices}")
+
+
 @dataclass(frozen=True, eq=False)
 class BasicData:
     """Validated basic data; construct through :func:`validate_basic_data`."""
@@ -144,15 +157,11 @@ class BasicData:
 
     def patterns(self) -> list[PatternT]:
         """All patterns in canonical (symbol-index lexicographic) order."""
-        if self.degenerate:
-            return [()]
         k = len(self.tile.reduced)
         return list(itertools.product(self.alphabet.symbols, repeat=k))
 
     def vertex_count(self) -> int:
-        if self.degenerate:
-            return 1
-        return len(self.alphabet) ** (len(self.tile.reduced) + 1)
+        return len(self.alphabet) ** _vertex_exponent(self.tile)
 
     def is_vertex(self, v: Vertex) -> bool:
         """Whether a tile labelling is one of this data's vertices."""
@@ -230,12 +239,7 @@ def validate_basic_data(
             "a distinguished symbol is only meaningful for the one-cell tile"
         )
 
-    n_patterns = len(alphabet) ** len(tile.reduced)
-    if n_patterns * len(alphabet) > limits.max_vertices:
-        raise SizeLimit(
-            f"{n_patterns * len(alphabet)} vertices would exceed the cap "
-            f"of {limits.max_vertices}"
-        )
+    _check_vertex_cap(len(alphabet), _vertex_exponent(tile), limits)
 
     raw: dict[PatternT, Sequence[str]] = {}
     for key, row in (bijections or {}).items():
@@ -310,11 +314,7 @@ def make_vertex(bd: BasicData, pattern: Sequence[str], a: str) -> Vertex:
 
 def enumerate_vertices(bd: BasicData, limits: Limits = DEFAULT_LIMITS) -> list[Vertex]:
     """All vertices in canonical (pattern-lex, then symbol-index) order."""
-    if bd.vertex_count() > limits.max_vertices:
-        raise SizeLimit(
-            f"{bd.vertex_count()} vertices would exceed the cap of "
-            f"{limits.max_vertices}"
-        )
+    _check_vertex_cap(len(bd.alphabet), _vertex_exponent(bd.tile), limits)
     if bd.degenerate:
         return [make_vertex(bd, (), bd.distinguished)]
     return [
@@ -383,12 +383,10 @@ def import_prw(params: PrwParams, limits: Limits = DEFAULT_LIMITS) -> BasicData:
     """
     tile, q, t, w = params.tile, params.q, params.t, params.w
     reduced = tile.sorted_reduced
-    # Checked before the q symbols exist.  The one-cell tile (no reduced
-    # set) has one vertex but lists its whole alphabet: there q is capped.
-    size = _over_cap(q, len(reduced) + 1, limits.max_vertices)
-    if size is not None:
-        what = "symbols" if tile.degenerate else "vertices"
-        raise SizeLimit(f"{size} {what} would exceed the cap of {limits.max_vertices}")
+    # Checked before the q symbols exist.  The one-cell tile has one vertex
+    # but lists its whole alphabet: there q is capped.
+    e = _vertex_exponent(tile)
+    _check_vertex_cap(q, e or 1, limits, "vertices" if e else "symbols")
     alphabet = Alphabet(tuple(str(i) for i in range(q)))
     if tile.degenerate:
         # Trace condition v(0) * w(0) == t has the single solution below.

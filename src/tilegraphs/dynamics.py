@@ -36,13 +36,13 @@ from .graph import (
     _count_chains,
     _overlap_pairs,
     _path,
+    _path_exponent,
     _slice,
     _walk_paths,
     build_skeleton,
-    path_count,
 )
 from .lattice import ORIGIN, Point, p_add, p_join, p_leq, p_meet, p_sub
-from .limits import DEFAULT_LIMITS, Limits
+from .limits import DEFAULT_LIMITS, Limits, _over_cap
 
 
 class AperiodicityStatus(str, Enum):
@@ -350,7 +350,8 @@ def strong_connectivity(
     sk = skeleton if skeleton is not None else build_skeleton(bd, limits)
     nverts = len(sk.vertices)
     degree = (k, k)
-    if path_count(bd, degree) * nverts <= limits.max_paths:
+    e = _path_exponent(bd, degree)
+    if _over_cap(len(bd.alphabet), e, limits.max_paths, nverts) is None:
         # Unique factorisation: sources of v's (k,k)-paths end its k-blue-k-red chains.
         tables = [sk._out[BLUE]] * k + [sk._out[RED]] * k
         for v in range(nverts):

@@ -26,8 +26,8 @@ slicing and reading windows index symbol tuples instead of rebuilding
 dicts and translate unions on every call.  The axiom checks in
 :mod:`tilegraphs.checks` and the witness search in
 :mod:`tilegraphs.dynamics` read the walk's tuples directly.  Each edge's
-symbols are derived once per skeleton; a plan's blank cells give the
-one-cell tile its distinguished symbol.
+symbols are derived once per skeleton; on the one-cell tile a plan
+gathers the distinguished symbol into every cell the operands leave.
 
 All values here are immutable; building and enumerating paths is pure.
 """
@@ -407,8 +407,8 @@ class _ComposePlan:
     The operands share exactly the window at ``dmu`` (``mu_source`` and
     ``nu_range`` hold its slots in each).  ``gather`` gives, for each result
     slot an operand labels, its index in the operands' symbols laid end to
-    end (``mu`` first); ``steps`` fill the remaining slots in order, and
-    ``blank`` lists them instead for the one-cell tile.
+    end (``mu`` first), or one past both: the distinguished symbol, which
+    the ``steps`` overwrite in order on any tile but the one cell.
     """
 
     mu_source: tuple[int, ...]
@@ -416,7 +416,6 @@ class _ComposePlan:
     total: Point
     gather: tuple[int, ...]
     steps: tuple[tuple, ...]
-    blank: tuple[int, ...]
 
 
 @lru_cache(maxsize=256)
@@ -432,12 +431,13 @@ def _compose_plan(tile: Tile, dmu: Point, dnu: Point) -> _ComposePlan:
     """
     total = p_add(dmu, dnu)
     lmu, lnu, out = _layout(tile, dmu), _layout(tile, dnu), _layout(tile, total)
-    gather = [-1] * len(out.cells)
+    past = len(lmu.cells) + len(lnu.cells)
+    gather = [past] * len(out.cells)
     for i, c in enumerate(lmu.cells):
         gather[out.slot[c]] = i
     for j, c in enumerate(lnu.cells):
         k = out.slot[p_add(c, dmu)]
-        if gather[k] < 0:
+        if gather[k] == past:
             gather[k] = len(lmu.cells) + j
         elif c not in tile.points:
             # Outside nu's range window: the window test would not cover it.
@@ -445,9 +445,8 @@ def _compose_plan(tile: Tile, dmu: Point, dnu: Point) -> _ComposePlan:
                 f"operands of degrees {dmu} and {dnu} share {p_add(c, dmu)}, "
                 f"outside the window at {dmu}"
             )
-    if tile.degenerate:
-        steps, blank = [], tuple(k for k, g in enumerate(gather) if g < 0)
-    else:
+    steps = []
+    if not tile.degenerate:
         c1, c2 = tile.c1, tile.c2
         todo = [
             ((x, y), (x - c1, y), True)
@@ -458,8 +457,7 @@ def _compose_plan(tile: Tile, dmu: Point, dnu: Point) -> _ComposePlan:
             for y in range(c2 + dmu[1] + 1, c2 + total[1] + 1)
             for x in range(dmu[0] - 1, -1, -1)
         ]
-        have = {out.cells[k] for k, g in enumerate(gather) if g >= 0}
-        steps = []
+        have = {out.cells[k] for k, g in enumerate(gather) if g < past}
         for cell, base, forward in todo:
             missing = tile.translate(base) - have - {cell}
             if missing:
@@ -476,20 +474,16 @@ def _compose_plan(tile: Tile, dmu: Point, dnu: Point) -> _ComposePlan:
             (out.slot[t], tuple(out.slot[p] for p in pattern), out.slot[key], fwd)
             for t, pattern, key, fwd in steps
         ]
-        blank = ()  # the steps fill every slot the operands leave
     return _ComposePlan(
         _slice(tile, dmu, dmu, ORIGIN), _slice(tile, dnu, ORIGIN, ORIGIN), total,
-        tuple(max(g, 0) for g in gather), tuple(steps), blank,
+        tuple(gather), tuple(steps),
     )
 
 
 def _run_plan(bd: BasicData, plan: _ComposePlan, a, b) -> list[str]:
     """The composite's symbols from operand symbols ``a`` and ``b`` whose
     windows at ``dmu`` already match."""
-    out = list(map([*a, *b].__getitem__, plan.gather))
-    for k in plan.blank:
-        # One-cell tile: every uncovered cell carries the distinguished symbol.
-        out[k] = bd.distinguished
+    out = list(map([*a, *b, bd.distinguished].__getitem__, plan.gather))
     for step in plan.steps:
         out[step[0]] = _forced_symbol(bd, out, step)
     return out
@@ -563,10 +557,10 @@ def _check_degree(n: Point) -> None:
 
 
 def _path_exponent(bd: BasicData, n: Point) -> int:
-    """``n1 c2 + n2 c1``, or 0 on the one-cell tile: the power of |A| that
+    """``n1 c2 + n2 c1`` (0 on the one-cell tile): the power of |A| that
     counts the paths of degree ``n``."""
     _check_degree(n)
-    return 0 if bd.degenerate else n[0] * bd.tile.c2 + n[1] * bd.tile.c1
+    return n[0] * bd.tile.c2 + n[1] * bd.tile.c1
 
 
 def path_count(bd: BasicData, n: Point) -> int:
@@ -575,15 +569,27 @@ def path_count(bd: BasicData, n: Point) -> int:
     return len(bd.alphabet) ** _path_exponent(bd, n)
 
 
+def _check_windows(n: Point, limits: Limits) -> None:
+    """``SizeLimit`` if a path of degree ``n`` has more windows,
+    ``(n1 + 1)(n2 + 1)``, than the path cap, even as the only path."""
+    if (n[0] + 1) * (n[1] + 1) > limits.max_paths:
+        raise SizeLimit(
+            f"the windows of a path of degree {n} would exceed the cap of "
+            f"{limits.max_paths}"
+        )
+
+
 def _checked_path_count(bd: BasicData, n: Point, roots: int, limits: Limits) -> int:
     """``path_count(bd, n)``; ``SizeLimit`` first if ``roots`` times it
-    exceeds the path cap (a count too long to print is named as a power)."""
+    exceeds the path cap (a count too long to print is named as a power),
+    then if a path's windows do."""
     e = _path_exponent(bd, n)
     size = _over_cap(len(bd.alphabet), e, limits.max_paths, roots)
     if size is not None:
         raise SizeLimit(
             f"{size} paths of degree {n} would exceed the cap of {limits.max_paths}"
         )
+    _check_windows(n, limits)
     return len(bd.alphabet) ** e
 
 

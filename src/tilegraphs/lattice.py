@@ -168,10 +168,7 @@ def parse_tile(points: Iterable[Point], limits: Limits = DEFAULT_LIMITS) -> Tile
     c1 = max(x for x, _ in pts)
     c2 = max(y for _, y in pts)
     degenerate = len(pts) == 1
-    if degenerate:
-        reduced = frozenset()
-    else:
-        reduced = pts - {(c1, 0), (0, c2)}
+    reduced = pts - {(c1, 0), (0, c2)}  # empty on the one-cell tile
     return Tile(
         points=pts,
         c1=c1,

@@ -11,7 +11,7 @@ Square-block counts come from the path identity ``|B_d| = |paths of degree
 (d, d)|`` with the closed form ``|A| ** (|P| + 1 + d (c1 + c2))``; the
 entropy terms ``log |B_d| / 2**d`` therefore vanish, matching the general
 ``d**2 / 2**d`` upper bound.  Counts are kept exact up to 512 bits and in
-log space beyond.
+log space beyond; small rows are checked by counting edge chains.
 """
 
 from __future__ import annotations
@@ -20,9 +20,11 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .data import BasicData
+from .data import BasicData, _vertex_exponent
 from .errors import InvariantViolation, NotAdmissible, RegionShapeMismatch, SizeLimit
-from .graph import Path, Skeleton, all_paths, path_count
+from .graph import (
+    BLUE, RED, Path, Skeleton, _count_chains, _path_exponent, build_skeleton
+)
 from .lattice import Point, contained_translates, p_sub, translate_union
 from .limits import DEFAULT_LIMITS, Limits
 
@@ -123,33 +125,39 @@ def count_blocks(
     """Number of ``d x d`` blocks via the degree-``(d, d)`` path identity.
 
     The closed form always returns (as a logarithm once the exact integer
-    would exceed 512 bits).  For ``d <= cross_check_upto`` the count is also
-    obtained by brute-force path enumeration and compared; a mismatch is an
-    invariant violation, and an infeasible brute force raises ``SizeLimit``.
+    would exceed 512 bits).  For ``d <= cross_check_upto`` the edge chains
+    blue^d red^d and red^d blue^d must end ``|A| ** (d (c1 + c2))`` times
+    at each vertex, or ``InvariantViolation``; a side past the path cap
+    raises ``SizeLimit``.
     """
     if d < 1:
         raise ValueError(f"block side must be positive, got {d}")
-    if bd.degenerate:
-        exponent, base = 0, 1
-    else:
-        exponent = len(bd.tile.reduced) + 1 + d * (bd.tile.c1 + bd.tile.c2)
-        base = len(bd.alphabet)
-    log_count = exponent * math.log(base) if base > 1 else 0.0
+    base = len(bd.alphabet)
+    ve, pe = _vertex_exponent(bd.tile), _path_exponent(bd, (d, d))
+    if d <= cross_check_upto:
+        if d > limits.max_paths:
+            raise SizeLimit(
+                f"block census: side {d} exceeds the path cap of {limits.max_paths}"
+            )
+        sk = skeleton if skeleton is not None else build_skeleton(bd, limits)
+        starts = dict.fromkeys(range(len(sk.vertices)), 1)
+        for first, then in ((BLUE, RED), (RED, BLUE)):
+            tables = [sk._out[first]] * d + [sk._out[then]] * d
+            ends = _count_chains(starts, tables)  # blocks by source vertex
+            if len(ends) != base**ve or set(ends.values()) != {base**pe}:
+                raise InvariantViolation(
+                    f"{first}^{d} {then}^{d} edge chains end "
+                    f"{sorted(set(ends.values()))} times at {len(ends)} vertices, "
+                    f"not {base}**{pe} times at {base}**{ve}"
+                )
+    exponent = ve + pe
+    log_count = exponent * math.log(base)
     count: int | None = None
-    if base == 1 or exponent * math.log2(base) <= COUNT_BITS:
+    if exponent * math.log2(base) <= COUNT_BITS:
         count = base**exponent
         if count.bit_length() > COUNT_BITS:
             count = None
-    entropy_term = log_count * 2.0 ** (-d)
-
-    if d <= cross_check_upto:
-        observed = len(all_paths(bd, (d, d), skeleton=skeleton, limits=limits))
-        if count is not None and observed != count:
-            raise InvariantViolation(
-                f"closed form gives {count} blocks at d={d}, enumeration "
-                f"gives {observed}"
-            )
-    return BlockCensus(d, count, log_count, entropy_term)
+    return BlockCensus(d, count, log_count, log_count * 2.0 ** (-d))
 
 
 def entropy_sequence(
@@ -161,7 +169,8 @@ def entropy_sequence(
 ) -> list[BlockCensus]:
     """Census rows for ``d = 1 .. d_max``; the entropy terms tend to zero.
 
-    More rows than the path cap raise ``SizeLimit`` before any is counted.
+    More rows than the path cap raise ``SizeLimit`` before any is counted;
+    the checked rows share one skeleton.
     """
     if d_max < 1:
         raise ValueError(f"d_max must be positive, got {d_max}")
@@ -170,12 +179,9 @@ def entropy_sequence(
             f"entropy census: {d_max} rows exceed the path cap of "
             f"{limits.max_paths}"
         )
-    rows = []
-    for d in range(1, d_max + 1):
-        upto = cross_check_upto
-        if d <= upto and path_count(bd, (d, d)) * bd.vertex_count() > limits.max_paths:
-            upto = 0  # brute force infeasible at this depth; skip quietly
-        rows.append(
-            count_blocks(bd, d, skeleton=skeleton, limits=limits, cross_check_upto=upto)
-        )
-    return rows
+    if skeleton is None and cross_check_upto > 0:
+        skeleton = build_skeleton(bd, limits)
+    return [
+        count_blocks(bd, d, skeleton, limits, cross_check_upto)
+        for d in range(1, d_max + 1)
+    ]

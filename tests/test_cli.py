@@ -20,6 +20,13 @@ PRW_LEDRAPPIER = str(DATA_DIR / "prw-ledrappier.json")
 PRW_REM3 = str(DATA_DIR / "prw-rem3.json")
 
 
+ONE_SYMBOL_TRIPOD = {
+    "alphabet": ["a"],
+    "tile": [[0, 0], [1, 0], [0, 1]],
+    "bijections": {"a": ["a"]},
+}
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -404,6 +411,42 @@ class TestSizeCaps:
             "unique factorisation: the path splits of degrees up to (2, 2) "
             "exceed the path cap of 1155"
         )
+
+    def test_vertex_count_past_the_printable_range_exits_3_at_once(
+        self, capsys, tmp_path
+    ):
+        # A 15,000-cell row over two symbols has 2 ** 14999 vertices, more
+        # than 4,300 decimal digits: named as a power, never printed.
+        f = tmp_path / "row.json"
+        doc = {"alphabet": ["0", "1"], "tile": [[x, 0] for x in range(15000)]}
+        f.write_text(json.dumps({**doc, "bijections": {}}))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "--max-tile-cells", "20000", "validate", str(f))
+        assert time.perf_counter() - start < 1
+        assert code == 3 and out == ""
+        assert json.loads(err) == {
+            "error": "SizeLimit",
+            "message": "2**14999 vertices would exceed the cap of 1024",
+        }
+
+    def test_one_path_per_degree_still_has_a_windows_cap(self, capsys, tmp_path):
+        # The one-symbol tripod has one path at every degree and no breaking
+        # cycle; the witness depth's windows are refused before any search.
+        f = tmp_path / "tripod.json"
+        f.write_text(json.dumps(ONE_SYMBOL_TRIPOD))
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "analyze", str(f), "--witness-bound", "1000000000000,0"
+        )
+        assert time.perf_counter() - start < 1
+        assert code == 3 and out == ""
+        assert json.loads(err) == {
+            "error": "SizeLimit",
+            "message": "the windows of a path of degree (1000000000001, 0) would "
+            "exceed the cap of 200000",
+        }
+        code, out, _ = run(capsys, "analyze", str(f), "--witness-bound", "100,0")
+        assert code == 0 and json.loads(out)["verdict"] == "Unknown"
 
     def test_one_cell_import_prw_up_to_the_vertex_cap(self, capsys, tmp_path):
         f = tmp_path / "rule.json"

@@ -170,6 +170,74 @@ class TestEnumerateVertices:
         assert len(enumerate_vertices(bd)) == 2 ** (len(SQUARE.reduced) + 1)
 
 
+ONE_CELL = parse_tile([(0, 0)])
+
+
+class TestVertexCapBoundaries:
+    # One refusal for every vertex count: a cap equal to the count passes,
+    # one below refuses with the count in the message.
+    CASES = [
+        (TRIPOD, ["0", "1"], LEDRAPPIER_TABLE, 4),
+        (SQUARE, ["0", "1"], SQUARE_TABLE, 8),
+        (TRIPOD, ["a"], {"a": ["a"]}, 1),
+    ]
+
+    @pytest.mark.parametrize("tile, alphabet, table, count", CASES)
+    def test_validate_basic_data(self, tile, alphabet, table, count):
+        limits = Limits(max_vertices=count)
+        bd = validate_basic_data(tile, alphabet, table, limits=limits)
+        assert bd.vertex_count() == count
+        if count > 1:
+            with pytest.raises(SizeLimit) as err:
+                validate_basic_data(
+                    tile, alphabet, table, limits=Limits(max_vertices=count - 1)
+                )
+            assert str(err.value) == (
+                f"{count} vertices would exceed the cap of {count - 1}"
+            )
+
+    @pytest.mark.parametrize("tile, alphabet, table, count", CASES)
+    def test_enumerate_vertices(self, tile, alphabet, table, count):
+        bd = validate_basic_data(tile, alphabet, table)
+        assert len(enumerate_vertices(bd, Limits(max_vertices=count))) == count
+        if count > 1:
+            with pytest.raises(SizeLimit) as err:
+                enumerate_vertices(bd, Limits(max_vertices=count - 1))
+            assert str(err.value) == (
+                f"{count} vertices would exceed the cap of {count - 1}"
+            )
+
+    @pytest.mark.parametrize(
+        "tile, q, count, what",
+        [
+            (TRIPOD, 3, 9, "vertices"),
+            (SQUARE, 2, 8, "vertices"),
+            (ONE_CELL, 5, 5, "symbols"),
+        ],
+    )
+    def test_import_prw(self, tile, q, count, what):
+        # The one-cell tile has one vertex, but its q symbols are capped.
+        params = validate_prw(tile, q, 0, {p: 1 for p in tile.points})
+        bd = import_prw(params, Limits(max_vertices=count))
+        assert len(bd.alphabet) == q
+        with pytest.raises(SizeLimit) as err:
+            import_prw(params, Limits(max_vertices=count - 1))
+        assert str(err.value) == f"{count} {what} would exceed the cap of {count - 1}"
+
+    def test_one_cell_counts_one_vertex_and_one_pattern(self):
+        bd = validate_basic_data(ONE_CELL, ["0", "1", "2"], None, distinguished="2")
+        assert bd.vertex_count() == 1 and bd.patterns() == [()]
+        assert len(enumerate_vertices(bd, Limits(max_vertices=1))) == 1
+
+    def test_a_count_past_the_printable_range_is_named_as_a_power(self):
+        # 2 ** 14999 has more than 4,300 decimal digits: neither built nor
+        # printed in decimal.
+        row = parse_tile([(x, 0) for x in range(15000)], Limits(max_tile_cells=15000))
+        with pytest.raises(SizeLimit) as err:
+            validate_basic_data(row, ["0", "1"], {})
+        assert str(err.value) == "2**14999 vertices would exceed the cap of 1024"
+
+
 class TestPrwImport:
     def test_ledrappier_rule(self):
         # Weight 1 everywhere, trace 0, modulus 2 forces

@@ -305,6 +305,16 @@ class TestStrongConnectivity:
         with pytest.raises(DegenerateTile):
             strong_connectivity(bd)
 
+    @pytest.mark.parametrize("name, k", [("ledrappier", 1), ("square", 2)])
+    def test_exhaustive_up_to_the_path_cap(self, request, name, k):
+        # Exhaustive while V times the degree-(k, k) path count fits the
+        # cap, the BFS fallback one below.
+        bd, sk = request.getfixturevalue(name), request.getfixturevalue(f"{name}_sk")
+        need = path_count(bd, (k, k)) * len(sk.vertices)
+        for cap, method in ((need, "exhaustive"), (need - 1, "bfs")):
+            result = strong_connectivity(bd, skeleton=sk, limits=Limits(max_paths=cap))
+            assert (result.k, result.method) == (k, method)
+
 
 class TestPrwChecks:
     def test_ledrappier_rule_passes_and_finds_cycle(self):

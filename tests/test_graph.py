@@ -583,6 +583,43 @@ class TestEnumeratePaths:
         assert len(brute) == len(flat_sk.vertices)
         assert sorted(p.labels for p in brute) == sorted(p.labels for p in chained)
 
+    @pytest.mark.parametrize("walk", ["enumerate_paths", "all_paths", "brute_force"])
+    def test_windows_past_the_path_cap_are_refused_at_once(
+        self, flat, flat_sk, walk
+    ):
+        # One path per range vertex at every blue degree of the flat tile,
+        # so the path count never refuses: the windows, (n1 + 1)(n2 + 1),
+        # are refused before any region, layout or plan is built.
+        v = flat_sk.vertices[0]
+        call = {
+            "enumerate_paths": lambda n, lim: enumerate_paths(flat, v, n, flat_sk, lim),
+            "all_paths": lambda n, lim: all_paths(flat, n, flat_sk, lim),
+            "brute_force": lambda n, lim: brute_force_paths(flat, n, lim),
+        }[walk]
+        start = time.perf_counter()
+        with pytest.raises(SizeLimit) as err:
+            call((10**12, 0), Limits())
+        assert time.perf_counter() - start < 1
+        assert str(err.value) == (
+            "the windows of a path of degree (1000000000000, 0) would exceed "
+            "the cap of 200000"
+        )
+        assert len(call((9, 0), Limits(max_paths=10))) >= 1  # 10 windows
+        with pytest.raises(SizeLimit) as err:
+            call((9, 0), Limits(max_paths=9))
+        assert str(err.value) == (
+            "the windows of a path of degree (9, 0) would exceed the cap of 9"
+        )
+
+    def test_the_path_count_refuses_before_the_windows(
+        self, ledrappier, ledrappier_sk
+    ):
+        # Degree (3, 3): 2 ** 6 paths and 16 windows, both past a cap of 15.
+        v, limits = ledrappier_sk.vertices[0], Limits(max_paths=15)
+        with pytest.raises(SizeLimit) as err:
+            enumerate_paths(ledrappier, v, (3, 3), ledrappier_sk, limits)
+        assert str(err.value) == "64 paths of degree (3, 3) would exceed the cap of 15"
+
     @pytest.mark.parametrize("i", range(4))
     def test_count_check_runs_before_the_walk(self, flat, flat_sk, i):
         # The flat skeleton without its first red edge, (0, 0): from every
@@ -944,7 +981,13 @@ def twin_chain_count(sk, v, n):
 
 def twin_brute_force_paths(bd, n, limits):
     """The window-filter backtracker as first written: one recursion level
-    per cell of ``T(n)``, symbols tried in alphabet order."""
+    per cell of ``T(n)``, symbols tried in alphabet order, after the
+    library's refusal of more windows than the path cap."""
+    if (n[0] + 1) * (n[1] + 1) > limits.max_paths:
+        raise SizeLimit(
+            f"the windows of a path of degree {n} would exceed the cap of "
+            f"{limits.max_paths}"
+        )
     tile = bd.tile
     cells = translate_union(tile, n).sorted_points
     last_cell_windows = {}

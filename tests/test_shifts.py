@@ -2,11 +2,16 @@ import math
 
 import pytest
 
+import tilegraphs.shifts as shifts
 from tilegraphs import (
+    InvariantViolation,
     NotAdmissible,
     RegionShapeMismatch,
+    SizeLimit,
+    Skeleton,
     WindowConfig,
     all_paths,
+    build_skeleton,
     config_to_path,
     count_blocks,
     entropy_sequence,
@@ -18,6 +23,23 @@ from tilegraphs import (
     window_admissible,
 )
 from tilegraphs.lattice import box, p_sub
+from tilegraphs.limits import Limits
+
+ONE_CELL = validate_basic_data(parse_tile([(0, 0)]), ["0", "1"], None, "1")
+ONE_SYMBOL = validate_basic_data(
+    parse_tile([(0, 0), (1, 0), (0, 1)]), ["a"], {"a": ["a"]}
+)
+
+
+def rewired(bd, sk, colour, how):
+    """``sk`` with its first ``colour`` edge deleted, or with that edge's
+    head (its source-side vertex) moved to the next vertex."""
+    edges = list(sk.edges(colour))
+    v, u = edges.pop(0)
+    if how == "head-moved":
+        edges.insert(0, (v, (u + 1) % len(sk.vertices)))
+    blue, red = (edges, sk.red) if colour == "blue" else (sk.blue, edges)
+    return Skeleton(bd, sk.vertices, tuple(blue), tuple(red), sk.index)
 
 
 class TestWindowAdmissible:
@@ -82,6 +104,55 @@ class TestCountBlocks:
         with pytest.raises(ValueError):
             count_blocks(ledrappier, 0)
 
+    @pytest.mark.parametrize(
+        "name", ["ledrappier", "square", "rem3", "flat", "one-cell", "one-symbol"]
+    )
+    def test_chain_counts_match_the_enumerated_paths(self, request, name):
+        # The census checked by edge-chain counts gives what the path walk
+        # enumerates, on every bundled graph and both degenerate tables.
+        if name == "one-cell":
+            bd = ONE_CELL
+        elif name == "one-symbol":
+            bd = ONE_SYMBOL
+        else:
+            bd = request.getfixturevalue(name)
+        sk = build_skeleton(bd)
+        for d in (1, 2):
+            row = count_blocks(bd, d, skeleton=sk)
+            assert row.count == len(all_paths(bd, (d, d), skeleton=sk))
+
+    @pytest.mark.parametrize(
+        "colour, how, d, message",
+        [
+            ("blue", "deleted", 1, "blue^1 red^1 edge chains end [3, 4] times at 4 "
+             "vertices, not 2**2 times at 2**2"),
+            ("red", "deleted", 2, "blue^2 red^2 edge chains end [8, 12, 16] times "
+             "at 4 vertices, not 2**4 times at 2**2"),
+            ("blue", "head-moved", 1, "blue^1 red^1 edge chains end [3, 5] times at 4 "
+             "vertices, not 2**2 times at 2**2"),
+            # Every blue^2 red^2 chain total and end count survives this move.
+            ("blue", "head-moved", 2, "red^2 blue^2 edge chains end [8, 16, 20] "
+             "times at 4 vertices, not 2**4 times at 2**2"),
+        ],
+    )
+    def test_rewired_skeleton_is_caught_naming_the_order(
+        self, ledrappier, ledrappier_sk, colour, how, d, message
+    ):
+        bad = rewired(ledrappier, ledrappier_sk, colour, how)
+        with pytest.raises(InvariantViolation) as err:
+            count_blocks(ledrappier, d, skeleton=bad)
+        assert str(err.value) == message
+
+    def test_a_checked_side_past_the_path_cap_is_refused(
+        self, ledrappier, ledrappier_sk
+    ):
+        limits = Limits(max_paths=2)
+        assert count_blocks(ledrappier, 2, ledrappier_sk, limits).count == 64
+        with pytest.raises(SizeLimit) as err:
+            count_blocks(ledrappier, 3, ledrappier_sk, limits, cross_check_upto=3)
+        assert str(err.value) == "block census: side 3 exceeds the path cap of 2"
+        assert count_blocks(ledrappier, 3, ledrappier_sk, limits).count == 256
+
 
 class TestEntropySequence:
     def test_ledrappier_closed_form(self, ledrappier, ledrappier_sk):
@@ -123,6 +194,28 @@ class TestEntropySequence:
         bd = validate_basic_data(dot, ["0", "1"], None, distinguished="0")
         rows = entropy_sequence(bd, 5)
         assert [row.count for row in rows] == [1] * 5
+
+    def test_rows_are_checked_under_a_small_path_cap(self, ledrappier, ledrappier_sk):
+        # 4 * 4 = 16 paths of degree (1, 1), more than a cap of 10: no path
+        # is walked, yet rows 1 and 2 are checked by chain counts, so a
+        # rewired skeleton is caught.
+        limits = Limits(max_paths=10)
+        rows = entropy_sequence(ledrappier, 10, skeleton=ledrappier_sk, limits=limits)
+        assert [row.count for row in rows[:2]] == [16, 64]
+        bad = rewired(ledrappier, ledrappier_sk, "blue", "deleted")
+        with pytest.raises(InvariantViolation):
+            entropy_sequence(ledrappier, 10, skeleton=bad, limits=limits)
+
+    def test_one_skeleton_for_all_checked_rows(self, ledrappier, monkeypatch):
+        built = []
+        build = shifts.build_skeleton
+        monkeypatch.setattr(
+            shifts, "build_skeleton", lambda *a, **k: built.append(a) or build(*a, **k)
+        )
+        entropy_sequence(ledrappier, 6)
+        assert len(built) == 1
+        entropy_sequence(ledrappier, 6, cross_check_upto=0)
+        assert len(built) == 1
 
 
 class TestExtensionRecurrence:
