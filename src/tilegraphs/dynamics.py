@@ -12,10 +12,9 @@ so every long path repeats with the period of its cycle decomposition.
 
 An independent semi-decision oracle is provided by the bounded witness
 search: a path whose two slices at offsets ``m`` and ``n`` differ witnesses
-that the pair ``(m, n)`` cannot be a period at the chosen root vertex.  It
-walks the paths one at a time and stops at the first witness;
-:func:`witness_evidence` runs one search per vertex and offset pair for the
-``analyze`` report of a table without a certificate.
+that the pair ``(m, n)`` cannot be a period at its root vertex.
+:func:`witness_evidence`, the ``analyze`` note of a table without a
+certificate, walks each vertex's paths once per depth.
 """
 
 from __future__ import annotations
@@ -276,28 +275,41 @@ def periodicity_witness_search(
     to this depth; "no witness up to depth" never means "periodic".
     """
     depth = _witness_depth(bd, m, n, depth, limits)
-    rest = p_sub(depth, p_join(m, n))
-    left, right = (_slice(bd.tile, depth, k, rest) for k in (m, n))
+    (lam,) = _first_witnesses(bd, v, [(m, n)], depth, skeleton, limits)
+    return None if lam is None else _path(bd.tile, depth, lam)
+
+
+def _first_witnesses(bd, v, pairs, depth, skeleton, limits) -> list:
+    """Per offset pair ``(m, n)``, the symbols of the first degree-``depth``
+    path from ``v`` with differing slices at ``m`` and ``n``, or None, from
+    one walk that stops once every pair has its witness."""
+    rests = [p_sub(depth, p_join(m, n)) for m, n in pairs]
+    slices = [[_slice(bd.tile, depth, k, r) for k in mn] for mn, r in zip(pairs, rests)]
+    found = [None] * len(pairs)
     for lam in _walk_paths(bd, [v], depth, skeleton, limits, True):
-        if [lam[k] for k in left] != [lam[k] for k in right]:
-            return _path(bd.tile, depth, lam)
-    return None
+        for i, (left, right) in enumerate(slices):
+            if found[i] is None and [lam[k] for k in left] != [lam[k] for k in right]:
+                found[i] = lam
+        if None not in found:
+            break
+    return found
 
 
 def witness_evidence(bd: BasicData, sk: Skeleton, bound: Point, limits: Limits) -> str:
-    """The report note for a table without a certificate: one witness
-    search at depth ``m v n + bound`` per vertex and per offset pair
-    ``(m, n)`` drawn from ``0, e1, e2, e1 + e2``.  Every pair's depth is
-    checked against the caps before the first search."""
+    """The report note for a table without a certificate: for each vertex
+    and offset pair ``(m, n)`` drawn from ``0, e1, e2, e1 + e2``, a witness
+    search at depth ``m v n + bound``.  Every pair's depth is checked against
+    the caps first; then one walk per vertex and depth answers its pairs."""
     units = [ORIGIN, (1, 0), (0, 1), (1, 1)]
     pairs = [(m, n) for m in units for n in units if m != n and p_meet(m, n) == ORIGIN]
-    depths = [
-        _witness_depth(bd, m, n, p_add(p_join(m, n), bound), limits) for m, n in pairs
-    ]
+    by_depth: dict[Point, list] = {}
+    for m, n in pairs:
+        depth = _witness_depth(bd, m, n, p_add(p_join(m, n), bound), limits)
+        by_depth.setdefault(depth, []).append((m, n))
     found = sum(
-        periodicity_witness_search(bd, v, m, n, depth, sk, limits) is not None
+        len(group) - _first_witnesses(bd, v, group, depth, sk, limits).count(None)
         for v in sk.vertices
-        for (m, n), depth in zip(pairs, depths)
+        for depth, group in by_depth.items()
     )
     return (
         f"bounded witness search (join + {bound}): witnesses found for "

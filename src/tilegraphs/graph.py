@@ -236,8 +236,11 @@ class Skeleton:
         return m
 
     def edge_path(self, colour: str, v: int, u: int) -> Path:
-        """The unique degree-``e_axis`` path with range ``v`` and source ``u``."""
+        """The unique degree-``e_axis`` path with range ``v`` and source ``u``;
+        ``ValidationError`` unless ``v -> u`` is a ``colour`` edge."""
         e = unit(_axis(colour))
+        if not (0 <= v < len(self.vertices) and u in self._out[colour][v]):
+            raise ValidationError(f"({v}, {u}) is not a {colour} edge of the skeleton")
         return _path(self.basic_data.tile, e, self._edge_symbols(colour, v, u))
 
     def _edge_symbols(self, colour: str, v: int, u: int) -> tuple[str, ...]:
@@ -516,7 +519,11 @@ def compose(bd: BasicData, mu: Path, nu: Path) -> Path:
     ------
     SourceRangeMismatch
         If ``mu``'s source window differs from ``nu``'s range window.
+    ValidationError
+        If ``mu`` or ``nu`` is a path of another tile than ``bd``'s.
     """
+    if mu.tile != bd.tile or nu.tile != bd.tile:
+        raise ValidationError("cannot compose: both paths must be on the data's tile")
     plan = _compose_plan(bd.tile, mu.degree, nu.degree)
     symbols = _compose_symbols(bd, plan, _symbols(mu), _symbols(nu))
     return _path(bd.tile, plan.total, symbols)

@@ -1,5 +1,6 @@
 import itertools
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -27,11 +28,12 @@ from tilegraphs import (
     aperiodicity_verdict,
 )
 from tilegraphs.dynamics import (
+    _first_witnesses,
     _shortest_cycle,
     breaking_cycle_candidates,
     witness_evidence,
 )
-from tilegraphs.graph import BLUE, RED, factorize, path_count
+from tilegraphs.graph import BLUE, RED, _path, factorize, path_count
 from tilegraphs.lattice import ORIGIN, box, p_add, p_join, p_meet, p_sub
 from tilegraphs.limits import Limits
 
@@ -609,11 +611,14 @@ class TestConnectivityAgainstTheSetLoop:
 #
 # The evidence loop as first written for ``analyze``: each vertex's paths are
 # enumerated in full once per depth, then scanned for the first witness of
-# every offset pair of that depth.  The library runs one early-stopping
-# search per (vertex, pair) and must give the same note.
+# every offset pair of that depth.  The library walks each vertex's paths
+# once per depth, stopping once every pair of the depth has its witness, and
+# must give the same note.
 
 UNITS = [ORIGIN, (1, 0), (0, 1), (1, 1)]
 PAIRS = [(m, n) for m in UNITS for n in UNITS if m != n and p_meet(m, n) == ORIGIN]
+# The pairs sharing a join, so a depth ``join + bound``: one walk each.
+DEPTH_GROUPS = [[mn for mn in PAIRS if p_join(*mn) == j] for j in UNITS[1:]]
 
 
 def identity_data():
@@ -688,15 +693,16 @@ class TestWitnessEvidenceAgainstTwin:
 
     def test_caps_are_checked_before_the_first_search(self, monkeypatch):
         # At cap 8 the first pair's depth (2, 1) fits and the third's, (2, 2),
-        # does not: the note is refused before any search runs.
+        # does not: the note is refused before any walk runs.  At cap 16
+        # each vertex is walked once per depth, (2, 1), (1, 2) and (2, 2).
         import tilegraphs.dynamics as dynamics
 
         calls = []
-        search = dynamics.periodicity_witness_search
+        walk = dynamics._walk_paths
         monkeypatch.setattr(
             dynamics,
-            "periodicity_witness_search",
-            lambda *args, **kwargs: calls.append(args) or search(*args, **kwargs),
+            "_walk_paths",
+            lambda *args, **kwargs: calls.append(args) or walk(*args, **kwargs),
         )
         bd = identity_data()
         sk = build_skeleton(bd)
@@ -705,7 +711,7 @@ class TestWitnessEvidenceAgainstTwin:
         assert str(err.value) == "16 paths of degree (2, 2) would exceed the cap of 8"
         assert calls == []
         witness_evidence(bd, sk, (1, 1), Limits(max_paths=16))
-        assert len(calls) == len(sk.vertices) * len(PAIRS)
+        assert len(calls) == len(sk.vertices) * 3
 
     @given(
         small_data(),
@@ -737,3 +743,34 @@ class TestWitnessEvidenceAgainstTwin:
         assert periodicity_witness_search(
             bd, v, m, n, depth=depth, skeleton=sk
         ) == twin_first_witness(paths, m, n, depth)
+
+    @given(
+        st.one_of(small_data(), st.just(identity_data())),
+        st.integers(0, 63),
+        st.sampled_from(DEPTH_GROUPS),
+        st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_one_walk_finds_every_pairs_first_witness(self, bd, vi, group, bound):
+        # Pair by pair, the first path of the full list whose slices differ,
+        # or None; the walk stops at the last of those first witnesses.
+        import tilegraphs.dynamics as dynamics
+
+        sk = build_skeleton(bd)
+        v = sk.vertices[vi % len(sk.vertices)]
+        depth = p_add(p_join(*group[0]), bound)
+        paths = enumerate_paths(bd, v, depth, skeleton=sk)
+        walked, walk = [], dynamics._walk_paths
+
+        def counted(*args):
+            for lam in walk(*args):
+                walked.append(lam)
+                yield lam
+
+        with mock.patch.object(dynamics, "_walk_paths", counted):
+            found = _first_witnesses(bd, v, group, depth, sk, Limits())
+        twins = [twin_first_witness(paths, m, n, depth) for m, n in group]
+        assert [None if lam is None else _path(bd.tile, depth, lam) for lam in found] == twins
+        assert len(walked) == (
+            len(paths) if None in twins else 1 + max(map(paths.index, twins))
+        )

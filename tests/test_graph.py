@@ -116,6 +116,21 @@ def tall_staircase_data():
 
 
 class TestSkeleton:
+    def test_edge_path_refuses_a_pair_that_is_no_edge(self, ledrappier_sk):
+        # Bad input, not an internal fault: a pair off v's red out-list, or
+        # an index outside the skeleton, is refused naming the colour and
+        # the pair.  Vertex 3 (index -1) has the red edge 3 -> 3.
+        for v, u in ((0, 2), (9, 2), (0, 9), (-1, 3)):
+            with pytest.raises(ValidationError, match=rf"\({v}, {u}\) is not a red edge"):
+                ledrappier_sk.edge_path("red", v, u)
+
+    def test_edge_path_on_an_inconsistent_edge_is_an_invariant(self, ledrappier_sk):
+        # An edge the skeleton holds whose overlap disagrees is an internal
+        # fault, as before.
+        sk = rewired(ledrappier_sk, ledrappier_sk.blue, ledrappier_sk.red + ((0, 2),))
+        with pytest.raises(InvariantViolation, match="inconsistent overlap"):
+            sk.edge_path("red", 0, 2)
+
     def test_ledrappier_degrees(self, ledrappier, ledrappier_sk):
         sk = ledrappier_sk
         assert len(sk.vertices) == 4
@@ -408,6 +423,18 @@ class TestCompose:
         nu = sk.edge_path("red", 0, 1)   # range vertex 0
         with pytest.raises(SourceRangeMismatch):
             compose(ledrappier, mu, nu)
+
+    def test_paths_of_another_tile_are_rejected(self, ledrappier, ledrappier_sk, square_sk):
+        # The plan is built for the data's tile: an operand on the square's
+        # tile is refused in either position, while an equal tile parsed
+        # separately composes.
+        mu = square_sk.edge_path("blue", 0, 0)
+        nu = ledrappier_sk.edge_path("blue", 0, 1)
+        for a, b in ((mu, nu), (nu, mu)):
+            with pytest.raises(ValidationError, match="the data's tile"):
+                compose(ledrappier, a, b)
+        red = ledrappier_sk.edge_path("red", 1, 3)
+        assert compose(ledrappier_data(), nu, red) == compose(ledrappier, nu, red)
 
     def test_every_blue_red_pair_is_a_distinct_square(self, ledrappier, ledrappier_sk):
         sk = ledrappier_sk
