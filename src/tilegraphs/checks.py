@@ -3,15 +3,15 @@
 These are the oracle-style checks behind the ``verify`` command: vertex and
 edge counting, commuting squares, unique factorisation, and associativity.
 They enumerate rather than trust the constructions (paths are re-derived by
-a window-filtering backtracker, independent of edge-chain composition), so
+a breadth-first window filter, independent of edge-chain composition), so
 they also catch deliberately corrupted data that bypassed validation.
 
 Unique factorisation and associativity hash, slice and compose paths as
-symbol tuples in their layout's slot order, through the same cached compose
-plans as :func:`tilegraphs.graph.compose`: the chained paths come straight
-from the path walk, windows and slices are cached slot lists, and each
-edge's symbols are read once per skeleton.  A ``Path`` is built only for a
-counterexample.
+symbol tuples in their layout's slot order, through the cached compose
+plans of :func:`tilegraphs.graph.compose`; a ``Path`` is built only for a
+counterexample.  Unique factorisation composes each split of a degree as
+one column batch (:func:`tilegraphs.graph._compose_rows`) and reads the
+brute-force paths as columns; associativity composes row by row.
 
 On commuting squares, counted per range vertex along the skeleton's
 out-lists: between an ordered vertex pair there is at most one
@@ -24,8 +24,10 @@ degree, with each vertex still meeting ``|A| ** (c1 + c2)`` partners.
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from dataclasses import dataclass
+from itertools import compress
 from typing import Any
 
 from .data import BasicData
@@ -39,16 +41,17 @@ from .graph import (
     _check_degree,
     _check_windows,
     _compose_plan,
+    _compose_rows,
     _compose_symbols,
     _count_chains,
+    _layout,
     _path,
     _slice,
-    _symbols,
     _walk_paths,
     build_skeleton,
     path_count,
 )
-from .lattice import ORIGIN, Point, box, p_add, p_sub, translate_union, unit
+from .lattice import ORIGIN, Point, box, p_add, p_sub, unit
 from .limits import DEFAULT_LIMITS, Limits
 
 
@@ -63,45 +66,55 @@ class CheckResult:
 def brute_force_paths(
     bd: BasicData, n: Point, limits: Limits = DEFAULT_LIMITS
 ) -> list[Path]:
-    """Every labelling of ``T(n)`` whose tile windows are all vertices.
+    """Every labelling of ``T(n)`` whose tile windows are all vertices, in
+    lexicographic order: the definitional path set, independent of skeleton
+    edges and corner filling (see :func:`_window_filter`)."""
+    return [_path(bd.tile, n, lam) for lam in zip(*_window_filter(bd, n, limits))]
 
-    Backtracking over cells in lexicographic order, validating each window
-    as soon as its last cell is assigned.  This is the definitional path
-    set, independent of skeleton edges and corner filling.
+
+def _window_filter(bd: BasicData, n: Point, limits: Limits) -> list[list[str]]:
+    """The paths of :func:`brute_force_paths`, one column per slot of
+    ``T(n)``, filtered breadth first over the cells in slot order.
+
+    Each frontier row is extended by every symbol in alphabet order, then
+    filtered by the window ending at that cell: rows stay in lexicographic
+    order, and the frontier never holds more than ``|A|`` times the largest
+    filtered frontier.  Each step keeps the row each new row extends and
+    its symbol; only slots a later window reads follow the frontier.
     """
     _check_degree(n)
     _check_windows(n, limits)
-    tile = bd.tile
-    cells = translate_union(tile, n).sorted_points
-    # Window offsets keyed by their window's last cell: translation keeps
-    # the tile's lexicographic order, so that cell is its last sorted point.
-    last_cell_windows: dict[Point, list[Point]] = {}
-    for k in box(ORIGIN, n):
-        last_cell_windows.setdefault(p_add(tile.sorted_points[-1], k), []).append(k)
-
-    out: list[Path] = []
-    labels: dict[Point, str] = {}
-    # One symbol iterator per assigned cell: flat tiles outgrow recursion.
-    stack = [iter(bd.alphabet.symbols)]
-    while stack:
-        cell = cells[len(stack) - 1]
-        for s in stack[-1]:  # resumes after the symbol tried last
-            labels[cell] = s
-            if bd.bad_window(labels, last_cell_windows.get(cell, ())) is None:
-                break
-        else:
-            del labels[cell], stack[-1]
-            continue
-        if len(stack) < len(cells):
-            stack.append(iter(bd.alphabet.symbols))
-            continue
-        out.append(Path.make(tile, n, labels))
-        if len(out) > limits.max_paths:
-            raise SizeLimit(
-                f"brute force: paths of degree {n} exceed the path cap of "
-                f"{limits.max_paths}"
-            )
-    return out
+    tile, slot = bd.tile, _layout(bd.tile, n).slot
+    # By the slot of its last cell (translation keeps the tile's order), each
+    # window's vertex key: its slots at the reduced set and both corners.
+    picks = (*tile.sorted_reduced, tile.corner_ul, tile.corner_br)
+    windows = {
+        slot[p_add(tile.sorted_points[-1], k)]: [slot[p_add(p, k)] for p in picks]
+        for k in box(ORIGIN, n)
+    }
+    until = {q: i for i, key in sorted(windows.items()) for q in key}
+    symbols, vertex = bd.alphabet.symbols, bd._vertex_keys.__contains__
+    steps, live, size = [], {}, 1  # live: slot -> its symbol in each frontier row
+    for i in range(len(slot)):
+        take = [j for j in range(size) for _ in symbols]
+        live = {q: list(map(live[q].__getitem__, take)) for q in live if until[q] >= i}
+        live[i] = list(symbols) * size
+        if i in windows:
+            keep = list(map(vertex, zip(*map(live.get, windows[i]))))
+            take = list(compress(take, keep))
+            live = {q: list(compress(c, keep)) for q, c in live.items()}
+        steps.append((array("l", take), live[i]))
+        size = len(take)
+    if size > limits.max_paths:
+        raise SizeLimit(
+            f"brute force: paths of degree {n} exceed the path cap of "
+            f"{limits.max_paths}"
+        )
+    columns, index = [], range(size)
+    for take, column in reversed(steps):
+        columns.append(list(map(column.__getitem__, index)))
+        index = list(map(take.__getitem__, index))
+    return columns[::-1]
 
 
 def check_vertex_count(bd: BasicData, sk: Skeleton) -> CheckResult:
@@ -233,8 +246,8 @@ def check_unique_factorisation(
         enumerated: dict[Point, tuple[list[tuple[str, ...]], dict]] = {}
         for d in box(ORIGIN, degree):
             chained_symbols = list(_walk_paths(bd, sk.vertices, d, sk, limits, False))
-            brute = brute_force_paths(bd, d, limits=limits)
-            brute_symbols = [_symbols(p) for p in brute]
+            brute_columns = _window_filter(bd, d, limits)
+            brute_symbols = list(zip(*brute_columns))
             chain_set, brute_set = set(chained_symbols), set(brute_symbols)
             if chain_set != brute_set:
                 # Labels of one degree share their cells, so they sort as
@@ -255,33 +268,36 @@ def check_unique_factorisation(
             for m in box(ORIGIN, d):
                 n = p_sub(d, m)
                 plan = _compose_plan(tile, m, n)
-                mu_slots = _slice(tile, d, ORIGIN, m)
-                nu_slots = _slice(tile, d, m, n)
-                for lam, path in zip(brute_symbols, brute):
-                    mu = tuple([lam[k] for k in mu_slots])
-                    nu = tuple([lam[k] for k in nu_slots])
-                    if _compose_symbols(bd, plan, mu, nu) != lam:
+                # Each split is one batch: the columns of mu's slots, then nu's.
+                slots = _slice(tile, d, ORIGIN, m) + _slice(tile, d, m, n)
+                composites = _compose_rows(bd, plan, [brute_columns[k] for k in slots])
+                for lam, got in zip(brute_symbols, composites):
+                    if got != lam:
                         return CheckResult(
                             "unique-factorisation",
                             False,
                             f"slice-and-compose failed at degree {d}, split {m}",
-                            counterexample=path,
+                            counterexample=_path(tile, d, lam),
                         )
                 # Composable pairs in (mu, nu) enumeration order: each mu
                 # meets the nu's whose range is its source, in their order.
                 by_range = enumerated[n][1]
+                pairs = [
+                    (mu, nu)
+                    for mu in enumerated[m][0]
+                    for nu in by_range.get(tuple([mu[k] for k in plan.mu_source]), ())
+                ]
+                columns = [c for side in zip(*pairs) for c in zip(*side)]
                 seen: set[tuple[str, ...]] = set()
-                for mu in enumerated[m][0]:
-                    for nu in by_range.get(tuple([mu[k] for k in plan.mu_source]), ()):
-                        lam = _compose_symbols(bd, plan, mu, nu)
-                        if lam in seen:
-                            return CheckResult(
-                                "unique-factorisation",
-                                False,
-                                f"two ({m}, {n}) factorisations of one path",
-                                counterexample=_path(tile, d, lam),
-                            )
-                        seen.add(lam)
+                for lam in _compose_rows(bd, plan, columns):
+                    if lam in seen:
+                        return CheckResult(
+                            "unique-factorisation",
+                            False,
+                            f"two ({m}, {n}) factorisations of one path",
+                            counterexample=_path(tile, d, lam),
+                        )
+                    seen.add(lam)
                 if seen != brute_set:
                     return CheckResult(
                         "unique-factorisation",

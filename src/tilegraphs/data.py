@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -167,20 +168,36 @@ class BasicData:
         """Whether a tile labelling is one of this data's vertices."""
         return self.bad_window(v.as_dict(), [ORIGIN]) is None
 
+    @cached_property
+    def _rules(self) -> tuple[dict, dict]:
+        """``f_inv`` and ``f`` (indexed by ``forward``), compiled at first use:
+        a pattern with the key symbol appended maps to the forced symbol,
+        for exactly the pairs on which they return."""
+        if self.degenerate:
+            fixed = {(self.distinguished,): self.distinguished}
+            return fixed, fixed
+        index = self.alphabet._index.items()
+        return tuple(
+            {(*p, s): row[i] for p, row in t.items() for s, i in index if i < len(row)}
+            for t in (self.inverses, self.bijections)
+        )
+
+    @cached_property
+    def _vertex_keys(self) -> frozenset[tuple[str, ...]]:
+        """Each vertex's symbols at the reduced set, then its upper-left and
+        bottom-right corners: the vertex test, read off ``f``'s rule."""
+        return frozenset((*k, s) for k, s in self._rules[True].items())
+
     def bad_window(
         self, labels: Mapping[Point, str], offsets: Iterable[Point]
     ) -> Point | None:
         """The first offset ``k`` whose window ``tile + k`` of ``labels`` is
         no vertex (an unknown symbol or pattern counts as none), else None."""
-        if self.degenerate:
-            return next((k for k in offsets if labels[k] != self.distinguished), None)
-        tile, table, index = self.tile, self.bijections, self.alphabet._index
-        reduced = tile.sorted_reduced
-        (ux, uy), (bx, by) = tile.corner_ul, tile.corner_br
+        tile = self.tile
+        picks = (*tile.sorted_reduced, tile.corner_ul, tile.corner_br)
         for kx, ky in offsets:
-            row = table.get(tuple([labels[(x + kx, y + ky)] for x, y in reduced]))
-            i = index.get(labels[(ux + kx, uy + ky)])
-            if row is None or i is None or row[i] != labels[(bx + kx, by + ky)]:
+            key = tuple([labels[(x + kx, y + ky)] for x, y in picks])
+            if key not in self._vertex_keys:
                 return kx, ky
         return None
 

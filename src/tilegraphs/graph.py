@@ -492,6 +492,28 @@ def _run_plan(bd: BasicData, plan: _ComposePlan, a, b) -> list[str]:
     return out
 
 
+def _compose_rows(bd, plan, columns) -> Iterator[tuple[str, ...]]:
+    """The composites, in row order, of operands given column by column
+    (``mu``'s slots, then ``nu``'s; their windows at ``dmu`` match).
+
+    Each plan step is one pass over a column through ``bd._rules``.  A
+    missing entry leaves a hole (``None``) that later steps keep; a row
+    with a hole is replayed by :func:`_run_plan`, which raises the entry's
+    error, so errors come in the order of a row-by-row loop.
+    """
+    if not columns:
+        return
+    columns = [*columns, (bd.distinguished,) * len(columns[0])]
+    out = [columns[g] for g in plan.gather]
+    for target, pattern, key, forward in plan.steps:
+        rule = bd._rules[forward].get
+        out[target] = list(map(rule, zip(*[out[k] for k in pattern], out[key])))
+    for i, lam in enumerate(zip(*out)):
+        if None in lam:
+            lam = tuple(_run_plan(bd, plan, [c[i] for c in columns[:-1]], ()))
+        yield lam
+
+
 def _compose_symbols(
     bd: BasicData, plan: _ComposePlan, a: tuple[str, ...], b: tuple[str, ...]
 ) -> tuple[str, ...]:

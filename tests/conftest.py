@@ -33,6 +33,26 @@ def small_data(draw, symbols=("0", "1")):
     return validate_basic_data(tile, list(symbols), table)
 
 
+def transpose_data(bd):
+    """The same data with its axes swapped, ``(x, y) -> (y, x)``.
+
+    The two extreme corners trade places, so the bottom-right corner of a
+    transposed window is forced by the inverse bijection.  Each pattern is
+    re-keyed in the transposed tile's point order.
+    """
+    if bd.degenerate:
+        return bd
+    tile = parse_tile([(y, x) for x, y in bd.tile.points])
+    # For each reduced point of the transposed tile, in its order, the
+    # position of the original point in the original order.
+    order = [bd.tile.sorted_reduced.index((y, x)) for x, y in tile.sorted_reduced]
+    table = {
+        ",".join(pattern[i] for i in order): list(row)
+        for pattern, row in bd.inverses.items()
+    }
+    return validate_basic_data(tile, list(bd.alphabet), table)
+
+
 @pytest.fixture
 def edge_derivations(monkeypatch):
     """The keys of the edge paths derived during a test, on any skeleton:

@@ -1,4 +1,5 @@
 import itertools
+import json
 import os
 import random
 import re
@@ -53,12 +54,20 @@ from tilegraphs.checks import (
     run_axiom_suite,
 )
 from tilegraphs.data import Alphabet, BasicData, vertex_from_labels
-from tilegraphs.graph import _count_chains, _pairwise_edges
+from tilegraphs.graph import (
+    _compose_plan,
+    _compose_rows,
+    _count_chains,
+    _layout,
+    _pairwise_edges,
+    _run_plan,
+)
 from tilegraphs.lattice import box, contained_translates, p_add, p_leq
 from tilegraphs.shifts import WindowConfig
 from tilegraphs.limits import Limits
+from tilegraphs.serialize import basic_data_from_dict
 
-from conftest import DATA_DIR, small_data
+from conftest import DATA_DIR, small_data, transpose_data
 
 ROOT = DATA_DIR.parent
 TRIPOD = parse_tile([(0, 0), (1, 0), (0, 1)])
@@ -804,15 +813,44 @@ class TestAxiomSuites:
 
         monkeypatch.setattr(checks, "_walk_paths", counted)
         brute = Counter()
-        real_brute = checks.brute_force_paths
+        real_brute = checks._window_filter
 
         def counted_brute(bd, n, *args, **kwargs):
             brute[n] += 1
             return real_brute(bd, n, *args, **kwargs)
 
-        monkeypatch.setattr(checks, "brute_force_paths", counted_brute)
+        monkeypatch.setattr(checks, "_window_filter", counted_brute)
         assert check_unique_factorisation(ledrappier, (2, 2), sk=ledrappier_sk).ok
         assert calls == brute == Counter(box((0, 0), (2, 2)))
+
+    def test_a_batch_raises_the_error_of_its_first_row_with_a_hole(
+        self, ledrappier, ledrappier_sk
+    ):
+        # Composing degree (0, 2) with (1, 0) fills (2, 1) from the window
+        # at (1, 1), then (2, 0) from the one at (1, 0).  Row 1 breaks only
+        # the second fill's pattern cell and row 2 the first fill's key
+        # cell: the batch meets row 2's hole first, but must raise row 1's
+        # error, as a loop over the rows does.
+        bd, sk = ledrappier, ledrappier_sk
+        plan = _compose_plan(bd.tile, (0, 2), (1, 0))
+        cells = _layout(bd.tile, (1, 2)).cells
+        assert [cells[step[0]] for step in plan.steps] == [(2, 1), (2, 0)]
+        mu = enumerate_paths(bd, sk.vertices[0], (0, 2), skeleton=sk)[0]
+        nu = enumerate_paths(bd, mu.source_vertex, (1, 0), skeleton=sk)[0]
+        row = [s for _, s in mu.labels + nu.labels]
+        rows = [row, list(row), list(row)]
+        slot = _layout(bd.tile, (0, 2)).slot
+        rows[1][slot[1, 0]] = "x"
+        rows[2][slot[1, 2]] = "y"
+        with pytest.raises(MissingPattern, match="'x'"):
+            _run_plan(bd, plan, rows[1], ())
+        with pytest.raises(UnknownSymbol, match="'y'"):
+            _run_plan(bd, plan, rows[2], ())
+        batch = _compose_rows(bd, plan, list(zip(*rows)))
+        assert next(batch) == tuple(s for _, s in compose(bd, mu, nu).labels)
+        with pytest.raises(MissingPattern) as err:
+            next(batch)
+        assert str(err.value) == "no bijection for pattern 'x'"
 
     @pytest.mark.parametrize("dead", [None, 3], ids=["ledrappier", "dead-end"])
     def test_associativity_composes_each_two_edge_chain_once(
@@ -1736,3 +1774,41 @@ class TestAxiomChecksAgainstTwin:
         assert result_key(outcome(check_associativity, bd, sk)) == result_key(
             outcome(twin_associativity, bd, sk)
         )
+
+
+# -- the transposed-table oracle -----------------------------------------------
+
+BASIC_DATA_INPUTS = sorted(
+    path
+    for path in [*DATA_DIR.glob("*.json"), *(ROOT / "perfbench" / "inputs").rglob("*.json")]
+    if path.name != "cap1024.json" and "bijections" in json.loads(path.read_text())
+)
+
+
+@pytest.mark.parametrize("path", BASIC_DATA_INPUTS, ids=lambda path: path.stem)
+class TestTransposedData:
+    """Swapping the axes swaps the colours and turns each forward fill into
+    an inverse one, so the transposed table drives the compose plans'
+    ``f_inv`` steps where the original drives their ``f`` steps."""
+
+    def test_transposing_twice_gives_the_table_back(self, path):
+        bd = basic_data_from_dict(json.loads(path.read_text()))
+        back = transpose_data(transpose_data(bd))
+        assert (back.tile, back.bijections) == (bd.tile, bd.bijections)
+
+    def test_the_transposed_table_passes_the_axiom_suite(self, path):
+        bd = transpose_data(basic_data_from_dict(json.loads(path.read_text())))
+        results = run_axiom_suite(bd)
+        assert len(results) == 5
+        assert [(r.name, r.detail) for r in results if not r.ok] == []
+
+    def test_brute_force_paths_transpose(self, path):
+        bd = basic_data_from_dict(json.loads(path.read_text()))
+        flipped = transpose_data(bd)
+        for a, b in box((0, 0), (2, 2)):
+            paths = brute_force_paths(bd, (a, b))
+            transposed = brute_force_paths(flipped, (b, a))
+            assert len(transposed) == len(paths)
+            assert {frozenset(((y, x), s) for (x, y), s in p.labels) for p in paths} == {
+                frozenset(p.labels) for p in transposed
+            }
