@@ -27,7 +27,7 @@ from __future__ import annotations
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress
 from typing import Any
 
 from .data import BasicData
@@ -133,16 +133,17 @@ def check_degree_counts(bd: BasicData, sk: Skeleton) -> CheckResult:
     number of paths of the edge's degree from a fixed vertex."""
     want = {colour: path_count(bd, unit(axis)) for colour, axis in COLOUR_AXIS.items()}
     for colour in (BLUE, RED):
-        for end in (0, 1):  # out-degrees, then in-degrees
-            count = Counter(e[end] for e in sk.edges(colour))
-            bad = [i for i in range(len(sk.vertices)) if count[i] != want[colour]]
-            if bad:
+        rows = sk._out[colour]  # out-degrees are row lengths, then in-degrees one count
+        heads = Counter(chain.from_iterable(rows))
+        for count in (map(len, rows), map(heads.__getitem__, range(len(rows)))):
+            bad = next((v for v, c in enumerate(count) if c != want[colour]), None)
+            if bad is not None:
                 return CheckResult(
                     "degree-counts",
                     False,
-                    f"vertex {bad[0]} violates the {colour} degree count "
+                    f"vertex {bad} violates the {colour} degree count "
                     f"(expected {want[colour]})",
-                    counterexample=sk.vertices[bad[0]],
+                    counterexample=sk.vertices[bad],
                 )
     return CheckResult(
         "degree-counts",

@@ -2,7 +2,9 @@
 
 One binary with subcommands; all output is deterministic (byte-identical
 across runs on the same input).  Exit codes: 0 success, 2 validation error,
-3 size-cap exceeded, 4 internal invariant violation.
+3 size-cap exceeded, 4 internal invariant violation.  One grammar table holds
+every option.  Canonical command lines are read straight from it; argparse
+builds its tree from the same table only for help, errors and other spellings.
 
     tilegraphs validate   data.json [--format text|json]
     tilegraphs skeleton   data.json [--format dot|json]
@@ -226,61 +228,88 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
+def _option(flag: str, default, **keywords) -> dict[str, dict]:
+    """A flag and its ``add_argument`` keywords, with the dest argparse derives."""
+    return {flag: dict(dest=flag[2:].replace("-", "_"), default=default, **keywords)}
+
+
+def _format(*choices: str) -> dict[str, dict]:
+    return _option("--format", choices[0], choices=list(choices))
+
+
+# The grammar, read by both build_parser() and _read_argv(): the global caps,
+# then per subcommand its handler, help line and options after the file.
+_CAPS = (_option("--max-tile-cells", 64, type=_positive_int)
+         | _option("--max-vertices", 1024, type=_positive_int)
+         | _option("--max-paths", 200_000, type=_positive_int))
+_DEGREE = dict(type=_parse_degree, metavar="A,B")
+_COMMANDS = {
+    "validate": (cmd_validate, "validate a basic-data file", _format("text", "json")),
+    "skeleton": (cmd_skeleton, "emit the skeleton (DOT by default)", _format("dot", "json")),
+    "analyze": (cmd_analyze, "aperiodicity certificate and report", _format("json", "text")
+                | _option("--witness-bound", (2, 2), **_DEGREE,
+                          help="extra degree added to the join in bounded witness searches")),
+    "import-prw": (cmd_import_prw, "import modular-rule parameters", _format("json", "text")),
+    "entropy": (cmd_entropy, "block counts and entropy terms",
+                _option("--dmax", 10, type=_positive_int) | _format("csv", "json")),
+    "verify": (cmd_verify, "run the category axiom suites",
+               _option("--degree", (2, 2), **_DEGREE) | _format("text", "json")),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="tilegraphs",
-        description="Tile-generated rank-2 graphs and their shift spaces.",
-    )
-    parser.add_argument("--max-tile-cells", type=_positive_int, default=64)
-    parser.add_argument("--max-vertices", type=_positive_int, default=1024)
-    parser.add_argument("--max-paths", type=_positive_int, default=200_000)
+    parser = _Parser(prog="tilegraphs",
+                     description="Tile-generated rank-2 graphs and their shift spaces.")
+    for flag, keywords in _CAPS.items():
+        parser.add_argument(flag, **keywords)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="validate a basic-data file")
-    p.add_argument("file")
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("skeleton", help="emit the skeleton (DOT by default)")
-    p.add_argument("file")
-    p.add_argument("--format", choices=["dot", "json"], default="dot")
-    p.set_defaults(func=cmd_skeleton)
-
-    p = sub.add_parser("analyze", help="aperiodicity certificate and report")
-    p.add_argument("file")
-    p.add_argument("--format", choices=["json", "text"], default="json")
-    p.add_argument(
-        "--witness-bound",
-        type=_parse_degree,
-        default=(2, 2),
-        metavar="A,B",
-        help="extra degree added to the join in bounded witness searches",
-    )
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("import-prw", help="import modular-rule parameters")
-    p.add_argument("file")
-    p.add_argument("--format", choices=["json", "text"], default="json")
-    p.set_defaults(func=cmd_import_prw)
-
-    p = sub.add_parser("entropy", help="block counts and entropy terms")
-    p.add_argument("file")
-    p.add_argument("--dmax", type=_positive_int, default=10)
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.set_defaults(func=cmd_entropy)
-
-    p = sub.add_parser("verify", help="run the category axiom suites")
-    p.add_argument("file")
-    p.add_argument("--degree", type=_parse_degree, default=(2, 2), metavar="A,B")
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(func=cmd_verify)
-
+    for name, (func, help_line, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        p.add_argument("file")
+        for flag, keywords in options.items():
+            p.add_argument(flag, **keywords)
+        p.set_defaults(func=func)
     return parser
 
 
+def _read_argv(argv) -> argparse.Namespace | None:
+    """``build_parser().parse_args(argv)`` on a canonical line -- exact cap flags,
+    the subcommand, then its exact flags and one file in any order, each flag with
+    a separate value not starting with ``-`` -- else None, for argparse to read."""
+    options, args, tokens = _CAPS, {}, iter(argv)
+    for token in tokens:
+        if token in options:
+            keywords = options[token]
+            value = next(tokens, "-")  # a missing value is refused like a flag
+            if value.startswith("-"):
+                return None
+            try:
+                value = keywords.get("type", str)(value)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+            if value not in keywords.get("choices", [value]):
+                return None
+            args[keywords["dest"]] = value
+        elif token.startswith("-") or "file" in args:
+            return None
+        elif "command" in args:
+            args["file"] = token
+        elif token in _COMMANDS:
+            args["func"], _, options = _COMMANDS[token]
+            args["command"] = token
+        else:
+            return None
+    if "file" not in args:
+        return None
+    for keywords in [*_CAPS.values(), *options.values()]:
+        args.setdefault(keywords["dest"], keywords["default"])
+    return argparse.Namespace(**args)
+
+
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(argv)
+        args = _read_argv(argv) or build_parser().parse_args(argv)
         return args.func(args)
     except SystemExit as exc:  # --help, after printing to stdout
         return 2 if exc.code else 0

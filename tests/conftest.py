@@ -53,6 +53,24 @@ def transpose_data(bd):
     return validate_basic_data(tile, list(bd.alphabet), table)
 
 
+def relabel_data(bd, sigma):
+    """The same data with every symbol ``s`` renamed ``sigma[s]``.
+
+    A pattern ``p`` becomes ``sigma(p)`` and its bijection is conjugated,
+    ``sigma . f_p . sigma^-1``, so the relabelled table's configurations are
+    the originals relabelled cell by cell.
+    """
+    alphabet = list(bd.alphabet)
+    if bd.degenerate:
+        return validate_basic_data(bd.tile, alphabet, None, sigma[bd.distinguished])
+    inverse = {t: s for s, t in sigma.items()}
+    table = {
+        ",".join(sigma[s] for s in pattern): [sigma[bd.f(pattern, inverse[a])] for a in alphabet]
+        for pattern in bd.bijections
+    }
+    return validate_basic_data(bd.tile, alphabet, table)
+
+
 @pytest.fixture
 def edge_derivations(monkeypatch):
     """The keys of the edge paths derived during a test, on any skeleton:

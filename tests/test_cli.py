@@ -1,4 +1,5 @@
 import json
+import sys
 import time
 
 import pytest
@@ -556,18 +557,19 @@ def test_unreadable_input_exits_2(capsys, tmp_path, contents):
     assert "error" in json.loads(err)
 
 
+BAD_ARGUMENTS = [
+    ["entropy", LEDRAPPIER, "--dmax", "0"],
+    ["entropy", LEDRAPPIER, "--dmax", "-3"],
+    ["entropy", LEDRAPPIER, "--dmax", "x"],
+    ["--max-paths", "0", "verify", LEDRAPPIER],
+    ["--max-vertices", "0", "validate", LEDRAPPIER],
+    ["--max-tile-cells", "-1", "validate", LEDRAPPIER],
+    ["verify", LEDRAPPIER, "--degree", "nope"],
+]
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ["entropy", LEDRAPPIER, "--dmax", "0"],
-        ["entropy", LEDRAPPIER, "--dmax", "-3"],
-        ["entropy", LEDRAPPIER, "--dmax", "x"],
-        ["--max-paths", "0", "verify", LEDRAPPIER],
-        ["--max-vertices", "0", "validate", LEDRAPPIER],
-        ["--max-tile-cells", "-1", "validate", LEDRAPPIER],
-        ["verify", LEDRAPPIER, "--degree", "nope"],
-    ],
-    ids=lambda argv: " ".join(a for a in argv if a != LEDRAPPIER),
+    "argv", BAD_ARGUMENTS, ids=lambda argv: " ".join(a for a in argv if a != LEDRAPPIER)
 )
 def test_bad_arguments_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -580,6 +582,109 @@ def test_help_exits_0_on_stdout(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 0 and err == ""
     assert out.startswith("usage: tilegraphs")
+
+
+# -- the grammar table's two readers -------------------------------------------
+
+ROOT = DATA_DIR.parent
+
+
+def benchmark_argvs():
+    """The argv of every job the benchmark can run, from perfbench/workloads.py."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    return [job.argv for job in workloads.all_jobs()]
+
+
+BENCHMARK_ARGVS = benchmark_argvs()
+CORPUS = [
+    *BENCHMARK_ARGVS,
+    ["--help"],
+    *([name, "--help"] for name in cli._COMMANDS),
+    *BAD_ARGUMENTS,
+]
+
+
+@pytest.mark.parametrize(
+    "argv", CORPUS, ids=lambda argv: " ".join(a for a in argv if a != LEDRAPPIER)
+)
+def test_argparse_alone_runs_the_corpus_the_same(capsys, monkeypatch, argv):
+    # Exit code, stdout and stderr are the same whether the reader or
+    # argparse reads the line, and the reader reads every benchmark job.
+    monkeypatch.chdir(ROOT)
+    assert (cli._read_argv(argv) is not None) == (argv in BENCHMARK_ARGVS)
+    shipped = run(capsys, *argv)
+    monkeypatch.setattr(cli, "_read_argv", lambda argv: None)
+    assert run(capsys, *argv) == shipped
+
+
+def argparse_reads(argv):
+    """``vars`` of argparse's namespace for ``argv``, or the name of its error."""
+    try:
+        return vars(cli.build_parser().parse_args(argv))
+    except (cli.UsageError, SystemExit) as exc:
+        return type(exc).__name__
+
+
+CAP_FLAGS = list(cli._CAPS)
+COMMAND_FLAGS = sorted({flag for *_, options in cli._COMMANDS.values() for flag in options})
+VALID = {"--format": ["text", "json", "dot", "csv"], "--degree": ["0,1", "(1,2)"],
+         "--witness-bound": ["0,1", "(1,2)"]}  # and "1", "8" for the rest
+VALUES = [
+    "1", "8", "200000", "0", "-3", "x", "0,1", "(1,2)", "-0,1", "-1,2", "nope",
+    "text", "json", "dot", "csv", "yaml", "",
+]
+STRAYS = ["-h", "--help", "--format=json", "--max-p", "--", "-", "other.json", *VALUES]
+
+
+@st.composite
+def command_lines(draw):
+    """Mostly canonical lines: cap flags, a subcommand, its flags and a file,
+    with flags of the other level, extra files and stray tokens mixed in."""
+
+    def flags(pool):
+        line = []
+        for flag in draw(st.lists(st.sampled_from(pool), max_size=3)):
+            valid = st.sampled_from(VALID.get(flag, ["1", "8"]))
+            line += [flag, draw(st.one_of(valid, valid, st.sampled_from(VALUES)))]
+        return line
+
+    tail = flags(COMMAND_FLAGS + draw(st.sampled_from([[], [], CAP_FLAGS])))
+    for file in [LEDRAPPIER, "other.json"][: draw(st.sampled_from([1, 1, 1, 0, 2]))]:
+        tail.insert(draw(st.sampled_from(range(0, len(tail) + 1, 2))), file)
+    argv = [*flags(CAP_FLAGS), draw(st.sampled_from(list(cli._COMMANDS))), *tail]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(STRAYS)))
+    return argv
+
+
+@given(command_lines())
+@example(["--max-paths", "8", "entropy", "--format", "json", LEDRAPPIER, "--dmax", "3"])
+@example(["verify", LEDRAPPIER, "--format", "yaml"])  # a value outside the choices
+@example(["validate", LEDRAPPIER, "--max-paths", "8"])  # a cap after the subcommand
+@example(["validate", LEDRAPPIER, "other.json"])  # a second file
+@example(["verify", "--degree", "-0,1", LEDRAPPIER])  # a value starting with "-"
+@settings(max_examples=300, deadline=None)
+def test_the_reader_agrees_with_argparse(argv):
+    # Where the reader gives a namespace, argparse gives an equal one.
+    args = cli._read_argv(argv)
+    if args is not None:
+        assert vars(args) == argparse_reads(argv)
+
+
+def test_the_readers_share_every_default(monkeypatch):
+    # Every option gets a default that no literal holds; a reader that kept a
+    # default of its own would then disagree with argparse.
+    options = [cli._CAPS, *(options for *_, options in cli._COMMANDS.values())]
+    for i, keywords in enumerate(kw for table in options for kw in table.values()):
+        monkeypatch.setitem(keywords, "default", ("default", i))
+    for name in cli._COMMANDS:
+        args = cli._read_argv([name, LEDRAPPIER])
+        assert vars(args) == argparse_reads([name, LEDRAPPIER])
+        assert args.max_paths[0] == args.format[0] == "default"
 
 
 JSON_VALUES = st.recursive(

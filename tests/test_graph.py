@@ -37,6 +37,7 @@ from tilegraphs import (
     parse_tile,
     path_count,
     periodicity_witness_search,
+    simplicity_report,
     to_dot,
     translate_union,
     validate_basic_data,
@@ -63,11 +64,11 @@ from tilegraphs.graph import (
     _run_plan,
 )
 from tilegraphs.lattice import box, contained_translates, p_add, p_leq
-from tilegraphs.shifts import WindowConfig
+from tilegraphs.shifts import WindowConfig, entropy_sequence
 from tilegraphs.limits import Limits
 from tilegraphs.serialize import basic_data_from_dict
 
-from conftest import DATA_DIR, small_data, transpose_data
+from conftest import DATA_DIR, relabel_data, small_data, transpose_data
 
 ROOT = DATA_DIR.parent
 TRIPOD = parse_tile([(0, 0), (1, 0), (0, 1)])
@@ -1812,3 +1813,48 @@ class TestTransposedData:
             assert {frozenset(((y, x), s) for (x, y), s in p.labels) for p in paths} == {
                 frozenset(p.labels) for p in transposed
             }
+
+
+# -- the relabelled-table oracle -----------------------------------------------
+
+
+def assert_relabelling_is_invisible(bd, sigma, degree, dmax):
+    """Renaming the symbols by ``sigma`` keeps every answer: the axioms hold,
+    the skeleton is the same under the vertex map, and so are the report's
+    verdict and flags and the block census."""
+    rd = relabel_data(bd, sigma)
+    assert [(r.name, r.detail) for r in run_axiom_suite(rd, degree) if not r.ok] == []
+    sk, rsk = build_skeleton(bd), build_skeleton(rd)
+    index = {v.symbols: i for i, v in enumerate(rsk.vertices)}
+    at = [index[tuple(sigma[s] for s in v.symbols)] for v in sk.vertices]
+    assert sorted(at) == list(range(len(rsk.vertices)))
+    for colour in ("blue", "red"):
+        assert sorted((at[v], at[u]) for v, u in sk.edges(colour)) == sorted(rsk.edges(colour))
+    report, relabelled = simplicity_report(bd, sk), simplicity_report(rd, rsk)
+    assert relabelled.verdict.status == report.verdict.status
+    assert relabelled.flags == report.flags
+    assert entropy_sequence(rd, dmax) == entropy_sequence(bd, dmax)
+
+
+@st.composite
+def relabellings(draw):
+    bd = draw(st.one_of(small_data(), small_data(("0", "1", "2"))))
+    symbols = list(bd.alphabet)
+    return bd, dict(zip(symbols, draw(st.permutations(symbols))))
+
+
+@given(relabellings())
+@example((validate_basic_data(parse_tile([(0, 0)]), ["0", "1"], None, "0"), {"0": "1", "1": "0"}))
+@settings(max_examples=40, deadline=None)
+def test_relabelling_the_alphabet_changes_no_answer(case):
+    bd, sigma = case
+    assert_relabelling_is_invisible(bd, sigma, degree=(1, 1), dmax=3)
+
+
+@pytest.mark.parametrize("path", BASIC_DATA_INPUTS, ids=lambda path: path.stem)
+def test_relabelled_inputs_give_the_same_answers(path):
+    # Each symbol moves one place along the alphabet.
+    bd = basic_data_from_dict(json.loads(path.read_text()))
+    symbols = list(bd.alphabet)
+    sigma = dict(zip(symbols, symbols[1:] + symbols[:1]))
+    assert_relabelling_is_invisible(bd, sigma, degree=(2, 2), dmax=3)
