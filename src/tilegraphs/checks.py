@@ -52,7 +52,7 @@ from .graph import (
     path_count,
 )
 from .lattice import ORIGIN, Point, box, p_add, p_sub, unit
-from .limits import DEFAULT_LIMITS, Limits
+from .limits import DEFAULT_LIMITS, Limits, _check_cap
 
 
 @dataclass
@@ -105,11 +105,8 @@ def _window_filter(bd: BasicData, n: Point, limits: Limits) -> list[list[str]]:
             live = {q: list(compress(c, keep)) for q, c in live.items()}
         steps.append((array("l", take), live[i]))
         size = len(take)
-    if size > limits.max_paths:
-        raise SizeLimit(
-            f"brute force: paths of degree {n} exceed the path cap of "
-            f"{limits.max_paths}"
-        )
+    msg = "brute force: paths of degree {n} exceed the path cap of {cap}"
+    _check_cap(size, limits.max_paths, msg, n=n)
     columns, index = [], range(size)
     for take, column in reversed(steps):
         columns.append(list(map(column.__getitem__, index)))
@@ -198,7 +195,7 @@ def check_commuting_squares(bd: BasicData, sk: Skeleton) -> CheckResult:
 def _check_split_count(bd: BasicData, degree: Point, vertices: int, limits: Limits):
     """``SizeLimit`` if the path splits unique factorisation composes, the
     sum over ``d <= degree`` of ``(d1 + 1)(d2 + 1) V |A| ** (d1 c2 + d2 c1)``,
-    pass the path cap.  It is ``V`` times one sum per axis, each read only
+    past the path cap.  It is ``V`` times one sum per axis, each read only
     until it passes the cap, so no power beyond the cap is built."""
     cap, total = limits.max_paths, vertices
     for axis, top in enumerate(degree, 1):
@@ -212,11 +209,8 @@ def _check_split_count(bd: BasicData, degree: Point, vertices: int, limits: Limi
                 if total * part > cap:
                     break
         total *= part
-        if total > cap:
-            raise SizeLimit(
-                f"unique factorisation: the path splits of degrees up to {degree} "
-                f"exceed the path cap of {cap}"
-            )
+    _check_cap(total, cap, "unique factorisation: the path splits of degrees up to {n} "
+               "exceed the path cap of {cap}", n=degree)
 
 
 def check_unique_factorisation(
@@ -336,11 +330,8 @@ def check_associativity(
         vertices = range(len(sk.vertices))
         chains = _count_chains(dict.fromkeys(vertices, 1), [sk._out[BLUE, RED]] * 3)
         count = sum(chains.values())
-        if count > limits.max_paths:
-            raise SizeLimit(
-                f"associativity: {count} composable edge triples exceed the "
-                f"path cap of {limits.max_paths}"
-            )
+        msg = "associativity: {size} composable edge triples exceed the path cap of {cap}"
+        _check_cap(count, limits.max_paths, msg)
         # ``out`` holds (head, edge number) pairs and ``edges`` (degree,
         # symbols), every edge read before any compose.
         edges: list[tuple[Point, tuple[str, ...]]] = []

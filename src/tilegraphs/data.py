@@ -29,12 +29,11 @@ from .errors import (
     MissingPattern,
     NotBijective,
     NotInvertible,
-    SizeLimit,
     UnknownSymbol,
     ValidationError,
 )
 from .lattice import ORIGIN, Point, Tile
-from .limits import DEFAULT_LIMITS, Limits, _over_cap
+from .limits import DEFAULT_LIMITS, Limits, _check_cap
 
 PatternT = tuple[str, ...]
 
@@ -125,9 +124,8 @@ def _vertex_exponent(tile: Tile) -> int:
 
 def _check_vertex_cap(base: int, e: int, limits: Limits, what: str = "vertices"):
     """``SizeLimit`` if ``base ** e`` ``what`` exceed the vertex cap."""
-    size = _over_cap(base, e, limits.max_vertices)
-    if size is not None:
-        raise SizeLimit(f"{size} {what} would exceed the cap of {limits.max_vertices}")
+    msg = "{size} {what} would exceed the cap of {cap}"
+    _check_cap((base, e), limits.max_vertices, msg, what=what)
 
 
 @dataclass(frozen=True, eq=False)
@@ -430,11 +428,8 @@ def prw_vertex_labellings(
     bijection construction in :func:`import_prw`.
     """
     tile, q, t, w = params.tile, params.q, params.t, params.w
-    size = _over_cap(q, len(tile.points), limits.max_paths)
-    if size is not None:
-        raise SizeLimit(
-            f"brute force over {size} labellings exceeds the cap of {limits.max_paths}"
-        )
+    msg = "brute force over {size} labellings exceeds the cap of {cap}"
+    _check_cap((q, len(tile.points)), limits.max_paths, msg)
     pts = tile.sorted_points
     out = []
     for values in itertools.product(range(q), repeat=len(pts)):

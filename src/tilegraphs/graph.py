@@ -49,7 +49,6 @@ from .errors import (
     InconsistentInput,
     InvariantViolation,
     OutOfRange,
-    SizeLimit,
     SourceRangeMismatch,
     ValidationError,
 )
@@ -65,7 +64,7 @@ from .lattice import (
     translate_union,
     unit,
 )
-from .limits import DEFAULT_LIMITS, Limits, _over_cap
+from .limits import DEFAULT_LIMITS, Limits, _check_cap
 
 BLUE, RED = "blue", "red"
 COLOUR_AXIS = {BLUE: 1, RED: 2}
@@ -601,11 +600,8 @@ def path_count(bd: BasicData, n: Point) -> int:
 def _check_windows(n: Point, limits: Limits) -> None:
     """``SizeLimit`` if a path of degree ``n`` has more windows,
     ``(n1 + 1)(n2 + 1)``, than the path cap, even as the only path."""
-    if (n[0] + 1) * (n[1] + 1) > limits.max_paths:
-        raise SizeLimit(
-            f"the windows of a path of degree {n} would exceed the cap of "
-            f"{limits.max_paths}"
-        )
+    msg = "the windows of a path of degree {n} would exceed the cap of {cap}"
+    _check_cap((n[0] + 1) * (n[1] + 1), limits.max_paths, msg, n=n)
 
 
 def _checked_path_count(bd: BasicData, n: Point, roots: int, limits: Limits) -> int:
@@ -613,11 +609,8 @@ def _checked_path_count(bd: BasicData, n: Point, roots: int, limits: Limits) -> 
     exceeds the path cap (a count too long to print is named as a power),
     then if a path's windows do."""
     e = _path_exponent(bd, n)
-    size = _over_cap(len(bd.alphabet), e, limits.max_paths, roots)
-    if size is not None:
-        raise SizeLimit(
-            f"{size} paths of degree {n} would exceed the cap of {limits.max_paths}"
-        )
+    msg = "{size} paths of degree {n} would exceed the cap of {cap}"
+    _check_cap((len(bd.alphabet), e, roots), limits.max_paths, msg, n=n)
     _check_windows(n, limits)
     return len(bd.alphabet) ** e
 

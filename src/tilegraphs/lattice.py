@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .errors import DegenerateTile, EmptyTile, NotHereditary, SizeLimit
-from .limits import DEFAULT_LIMITS, Limits
+from .errors import DegenerateTile, EmptyTile, NotHereditary
+from .limits import DEFAULT_LIMITS, Limits, _check_cap
 
 Point = tuple[int, int]
 
@@ -151,10 +151,7 @@ def parse_tile(points: Iterable[Point], limits: Limits = DEFAULT_LIMITS) -> Tile
     pts = frozenset((int(x), int(y)) for x, y in points)
     if not pts:
         raise EmptyTile("a tile must contain at least one point")
-    if len(pts) > limits.max_tile_cells:
-        raise SizeLimit(
-            f"tile has {len(pts)} cells, cap is {limits.max_tile_cells}"
-        )
+    _check_cap(len(pts), limits.max_tile_cells, "tile has {size} cells, cap is {cap}")
     for (x, y) in sorted(pts):
         if x < 0 or y < 0:
             raise NotHereditary((x, y), "the quadrant")

@@ -21,12 +21,12 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .data import BasicData, _vertex_exponent
-from .errors import InvariantViolation, NotAdmissible, RegionShapeMismatch, SizeLimit
+from .errors import InvariantViolation, NotAdmissible, RegionShapeMismatch
 from .graph import (
     BLUE, RED, Path, Skeleton, _count_chains, _path_exponent, build_skeleton
 )
 from .lattice import Point, contained_translates, p_sub, translate_union
-from .limits import DEFAULT_LIMITS, Limits
+from .limits import DEFAULT_LIMITS, Limits, _check_cap
 
 COUNT_BITS = 512
 
@@ -135,10 +135,8 @@ def count_blocks(
     base = len(bd.alphabet)
     ve, pe = _vertex_exponent(bd.tile), _path_exponent(bd, (d, d))
     if d <= cross_check_upto:
-        if d > limits.max_paths:
-            raise SizeLimit(
-                f"block census: side {d} exceeds the path cap of {limits.max_paths}"
-            )
+        msg = "block census: side {size} exceeds the path cap of {cap}"
+        _check_cap(d, limits.max_paths, msg)
         sk = skeleton if skeleton is not None else build_skeleton(bd, limits)
         starts = dict.fromkeys(range(len(sk.vertices)), 1)
         for first, then in ((BLUE, RED), (RED, BLUE)):
@@ -174,11 +172,8 @@ def entropy_sequence(
     """
     if d_max < 1:
         raise ValueError(f"d_max must be positive, got {d_max}")
-    if d_max > limits.max_paths:
-        raise SizeLimit(
-            f"entropy census: {d_max} rows exceed the path cap of "
-            f"{limits.max_paths}"
-        )
+    msg = "entropy census: {size} rows exceed the path cap of {cap}"
+    _check_cap(d_max, limits.max_paths, msg)
     if skeleton is None and cross_check_upto > 0:
         skeleton = build_skeleton(bd, limits)
     return [

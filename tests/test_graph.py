@@ -1814,6 +1814,54 @@ class TestTransposedData:
                 frozenset(p.labels) for p in transposed
             }
 
+    def test_paths_compose_and_factorize_transpose(self, path):
+        bd = basic_data_from_dict(json.loads(path.read_text()))
+        flipped = transpose_data(bd)
+        t = flipped.tile
+        for v in build_skeleton(bd).vertices:
+            tv = vertex_from_labels(t, {_t(p): s for p, s in v.labels})
+            for a, b in box((0, 0), (2, 1)):
+                paths = enumerate_paths(bd, v, (a, b))
+                transposed = enumerate_paths(flipped, tv, (b, a))
+                assert {_transpose(t, lam) for lam in paths} == set(transposed)
+                for lam in paths:
+                    tlam = _transpose(t, lam)
+                    for m in box((0, 0), (a, b)):
+                        mu, nu = factorize(lam, (0, 0), m), factorize(lam, m, (a, b))
+                        assert _transpose(t, mu) == factorize(tlam, (0, 0), _t(m))
+                        assert _transpose(t, nu) == factorize(tlam, _t(m), (b, a))
+                        assert _transpose(t, compose(bd, mu, nu)) == compose(
+                            flipped, _transpose(t, mu), _transpose(t, nu)
+                        )
+
+    def test_corner_fills_transpose(self, path):
+        # The bottom-right fill at n reads the windows at n + e1 and n - e2;
+        # transposed, they are the upper-left fill's windows at n' + e1 and
+        # n' - e2, for n' = (n1 - 1, n0 + 1).
+        bd = basic_data_from_dict(json.loads(path.read_text()))
+        flipped = transpose_data(bd)
+        for v in build_skeleton(bd).vertices:
+            for lam in enumerate_paths(bd, v, (2, 1)):
+                for n in ((0, 1), (1, 1)):
+                    cells = {c for k in (p_add(n, (1, 0)), p_add(n, (0, -1)))
+                             for c in bd.tile.translate(k)}
+                    labels = {p: s for p, s in lam.labels if p in cells}
+                    corner, symbol = fill_corner_br(bd, labels, n)
+                    assert corner == p_add(n, (bd.tile.c1 + 1, -1))
+                    assert symbol == lam.label(corner)
+                    assert fill_corner_ul(
+                        flipped, {_t(p): s for p, s in labels.items()}, (n[1] - 1, n[0] + 1)
+                    ) == (_t(corner), symbol)
+
+
+def _t(p):
+    return p[1], p[0]
+
+
+def _transpose(tile, lam):
+    """``lam`` with its axes swapped, as a path on the transposed ``tile``."""
+    return Path.make(tile, _t(lam.degree), {_t(p): s for p, s in lam.labels})
+
 
 # -- the relabelled-table oracle -----------------------------------------------
 

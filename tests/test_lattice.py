@@ -12,7 +12,7 @@ from tilegraphs import (
     translate_union,
 )
 from tilegraphs.lattice import box, contained_translates, p_join, p_leq, p_meet
-from tilegraphs.limits import Limits
+from tilegraphs.limits import Limits, _check_cap
 
 STAIRCASE = [(0, 0), (1, 0), (2, 0), (1, 1), (0, 1)]
 
@@ -59,14 +59,33 @@ class TestParseTile:
 
     def test_size_cap(self):
         pts = [(x, 0) for x in range(5)]
-        with pytest.raises(SizeLimit):
+        with pytest.raises(SizeLimit) as err:
             parse_tile(pts, limits=Limits(max_tile_cells=4))
+        assert str(err.value) == "tile has 5 cells, cap is 4"
+        assert len(parse_tile(pts[:4], limits=Limits(max_tile_cells=4)).points) == 4
 
     @given(tiles())
     def test_accepted_tiles_are_hereditary(self, tile):
         for (x, y) in tile.points:
             for (mx, my) in box((0, 0), (x, y)):
                 assert (mx, my) in tile.points
+
+
+@pytest.mark.parametrize("name", ["max_tile_cells", "max_vertices", "max_paths"])
+@pytest.mark.parametrize("cap", [0, -1, 2.5, "9", True])
+def test_limits_refuse_caps_that_are_not_positive_ints(name, cap):
+    with pytest.raises(ValueError, match="^size caps must be positive$"):
+        Limits(**{name: cap})
+
+
+def test_a_cap_message_is_formatted_only_on_refusal():
+    # A template naming a missing field would fail to format.
+    _check_cap(4, 4, "{missing}")
+    _check_cap((2, 2), 4, "{missing}")
+    with pytest.raises(SizeLimit, match=r"^5 > 4$"):
+        _check_cap(5, 4, "{size} > {cap}")
+    with pytest.raises(SizeLimit, match=r"^3 \* 2\*\*20000 at \(1, 2\)$"):
+        _check_cap((2, 20000, 3), 4, "{size} at {n}", n=(1, 2))
 
 
 class TestReducedSet:
