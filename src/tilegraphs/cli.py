@@ -2,9 +2,11 @@
 
 One binary with subcommands; all output is deterministic (byte-identical
 across runs on the same input).  Exit codes: 0 success, 2 validation error,
-3 size-cap exceeded, 4 internal invariant violation.  One grammar table holds
-every option.  Canonical command lines are read straight from it; argparse
-builds its tree from the same table only for help, errors and other spellings.
+3 size-cap exceeded, 4 an internal invariant or axiom check failed.  Each
+command returns ``(ok, doc, text)`` and ``main`` alone writes ``doc()`` as
+JSON, or ``text()``, to stdout.  One grammar table holds every option.
+Canonical command lines are read straight from it; argparse builds its tree
+from the same table only for help, errors and other spellings.
 
     tilegraphs validate   data.json [--format text|json]
     tilegraphs skeleton   data.json [--format dot|json]
@@ -18,9 +20,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Callable
 
 from .checks import run_axiom_suite
-from .data import import_prw, prw_vertex_labellings
+from .data import BasicData, import_prw, prw_vertex_labellings
 from .dynamics import AperiodicityStatus, simplicity_report, witness_evidence
 from .errors import SizeLimit, TileGraphError, ValidationError
 from .graph import COLOUR_AXIS, _pairwise_edges, build_skeleton, to_dot
@@ -72,86 +75,71 @@ def _limits(args) -> Limits:
     )
 
 
-def cmd_validate(args) -> int:
+def _load(args) -> tuple[Limits, BasicData]:
     limits = _limits(args)
-    bd = basic_data_from_dict(load_json(args.file), limits=limits)
+    return limits, basic_data_from_dict(load_json(args.file), limits=limits)
+
+
+def cmd_validate(args) -> tuple[bool, Callable, Callable]:
+    limits, bd = _load(args)
+    n = len(build_skeleton(bd, limits).vertices)
+    doc = {
+        "vertices": n,
+        "vertex_count_identity": n == bd.vertex_count(),
+        "degenerate": bd.degenerate,
+        "ok": True,
+    }
+    return True, lambda: doc, lambda: f"{n} vertices, OK\n"
+
+
+def cmd_skeleton(args) -> tuple[bool, Callable, Callable]:
+    limits, bd = _load(args)
     sk = build_skeleton(bd, limits)
-    n = len(sk.vertices)
-    identity_ok = n == bd.vertex_count()
-    if args.format == "json":
-        sys.stdout.write(
-            dumps(
-                {
-                    "vertices": n,
-                    "vertex_count_identity": identity_ok,
-                    "degenerate": bd.degenerate,
-                    "ok": True,
-                }
-            )
-        )
-    else:
-        print(f"{n} vertices, OK")
-    return 0
+
+    def doc():
+        return {
+            "vertices": [vertex_to_dict(v) for v in sk.vertices],
+            "blue_edges": sk.blue,
+            "red_edges": sk.red,
+        }
+
+    return True, doc, lambda: to_dot(sk)
 
 
-def cmd_skeleton(args) -> int:
-    limits = _limits(args)
-    bd = basic_data_from_dict(load_json(args.file), limits=limits)
-    sk = build_skeleton(bd, limits)
-    if args.format == "json":
-        sys.stdout.write(
-            dumps(
-                {
-                    "vertices": [vertex_to_dict(v) for v in sk.vertices],
-                    "blue_edges": sk.blue,
-                    "red_edges": sk.red,
-                }
-            )
-        )
-    else:
-        sys.stdout.write(to_dot(sk))
-    return 0
-
-
-def cmd_analyze(args) -> int:
-    limits = _limits(args)
-    bd = basic_data_from_dict(load_json(args.file), limits=limits)
+def cmd_analyze(args) -> tuple[bool, Callable, Callable]:
+    limits, bd = _load(args)
     sk = build_skeleton(bd, limits)
     report = simplicity_report(bd, skeleton=sk, limits=limits)
     if report.verdict.status is AperiodicityStatus.UNKNOWN:
         report.notes.append(witness_evidence(bd, sk, args.witness_bound, limits))
     doc = report_to_dict(report)
-    if args.format == "text":
-        print(f"verdict: {doc['verdict']}")
-        print(f"note: {doc['witness_note']}")
-        print(f"strongly connected: {doc['strongly_connected']} (k={doc['k']})")
-        print(f"cofinal: {doc['cofinal']}")
-        for flag, value in doc["flags"].items():
-            shown = "undetermined" if value is None else value
-            print(f"{flag}: {shown} -- {doc['justifications'][flag]}")
-        for note in doc["notes"]:
-            print(f"note: {note}")
-    else:
-        sys.stdout.write(dumps(doc))
-    return 0
+
+    def text():
+        flags = {f: "undetermined" if v is None else v for f, v in doc["flags"].items()}
+        lines = [
+            f"verdict: {doc['verdict']}",
+            f"note: {doc['witness_note']}",
+            f"strongly connected: {doc['strongly_connected']} (k={doc['k']})",
+            f"cofinal: {doc['cofinal']}",
+            *(f"{f}: {v} -- {doc['justifications'][f]}" for f, v in flags.items()),
+            *(f"note: {note}" for note in doc["notes"]),
+        ]
+        return "".join(f"{line}\n" for line in lines)
+
+    return True, lambda: doc, text
 
 
-def cmd_import_prw(args) -> int:
+def cmd_import_prw(args) -> tuple[bool, Callable, Callable]:
     limits = _limits(args)
     params = prw_from_dict(load_json(args.file), limits=limits)
     bd = import_prw(params, limits=limits)
     sk = build_skeleton(bd, limits)
-
-    summary: dict[str, object]
+    summary: dict[str, object] = {"vertices": len(sk.vertices)}
     try:
         oracle = prw_vertex_labellings(params, limits=limits)
     except SizeLimit:
-        summary = {
-            "vertices": len(sk.vertices),
-            "vertex_sets_equal": None,
-            "edge_sets_equal": None,
-            "note": "brute-force comparison skipped (size cap)",
-        }
+        vertices_match = edges_match = None
+        summary["note"] = "brute-force comparison skipped (size cap)"
     else:
         keys = [tuple(d[p] for p in bd.tile.sorted_points) for d in oracle]
         vertices_match = sorted(keys) == sorted(v.symbols for v in sk.vertices)
@@ -165,54 +153,38 @@ def cmd_import_prw(args) -> int:
                 have = {(at[i], at[j]) for i, j in sk.edges(colour)}
                 if set(_pairwise_edges(bd.tile, keys, axis)) != have:
                     edges_match = False
-        summary = {
-            "vertices": len(sk.vertices),
-            "vertex_sets_equal": vertices_match,
-            "edge_sets_equal": edges_match,
-        }
+    summary.update(vertex_sets_equal=vertices_match, edge_sets_equal=edges_match)
 
-    doc = {"basic_data": basic_data_to_dict(bd), "isomorphism_check": summary}
-    if args.format == "text":
-        print(f"imported {summary['vertices']} vertices")
-        print(f"vertex sets equal: {summary['vertex_sets_equal']}")
-        print(f"edge sets equal: {summary['edge_sets_equal']}")
-    else:
-        sys.stdout.write(dumps(doc))
-    return 0
+    def doc():
+        return {"basic_data": basic_data_to_dict(bd), "isomorphism_check": summary}
+
+    return True, doc, lambda: (
+        f"imported {summary['vertices']} vertices\n"
+        f"vertex sets equal: {summary['vertex_sets_equal']}\n"
+        f"edge sets equal: {summary['edge_sets_equal']}\n"
+    )
 
 
-def cmd_entropy(args) -> int:
-    limits = _limits(args)
-    bd = basic_data_from_dict(load_json(args.file), limits=limits)
+def cmd_entropy(args) -> tuple[bool, Callable, Callable]:
+    limits, bd = _load(args)
     census = entropy_sequence(bd, args.dmax, limits=limits)
-    if args.format == "json":
-        sys.stdout.write(dumps({"census": census_to_rows(census)}))
-    else:
-        sys.stdout.write(census_to_csv(census))
-    return 0
+    return True, lambda: {"census": census_to_rows(census)}, lambda: census_to_csv(census)
 
 
-def cmd_verify(args) -> int:
-    limits = _limits(args)
-    bd = basic_data_from_dict(load_json(args.file), limits=limits)
+def cmd_verify(args) -> tuple[bool, Callable, Callable]:
+    limits, bd = _load(args)
     results = run_axiom_suite(bd, degree=args.degree, limits=limits)
     ok = all(r.ok for r in results)
-    if args.format == "json":
-        sys.stdout.write(
-            dumps(
-                {
-                    "ok": ok,
-                    "checks": [
-                        {"name": r.name, "ok": r.ok, "detail": r.detail}
-                        for r in results
-                    ],
-                }
-            )
-        )
-    else:
-        for r in results:
-            print(f"{'PASS' if r.ok else 'FAIL'} {r.name}: {r.detail}")
-    return 0 if ok else 4
+
+    def doc():
+        return {
+            "ok": ok,
+            "checks": [{"name": r.name, "ok": r.ok, "detail": r.detail} for r in results],
+        }
+
+    return ok, doc, lambda: "".join(
+        f"{'PASS' if r.ok else 'FAIL'} {r.name}: {r.detail}\n" for r in results
+    )
 
 
 class UsageError(ValidationError):
@@ -310,7 +282,9 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = _read_argv(argv) or build_parser().parse_args(argv)
-        return args.func(args)
+        ok, doc, text = args.func(args)
+        sys.stdout.write(dumps(doc()) if args.format == "json" else text())
+        return 0 if ok else 4
     except SystemExit as exc:  # --help, after printing to stdout
         return 2 if exc.code else 0
     except TileGraphError as err:

@@ -1,6 +1,9 @@
+import dataclasses
+import io
 import json
 import sys
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -8,6 +11,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 import tilegraphs.cli as cli
 from tilegraphs import Skeleton, build_skeleton, import_prw, parse_tile, validate_prw
 from tilegraphs.cli import main
+from tilegraphs.errors import InvariantViolation
 from tilegraphs.serialize import basic_data_from_dict, basic_data_to_dict, dumps
 
 from conftest import DATA_DIR
@@ -293,6 +297,77 @@ class TestVerify:
     def test_degree_parse_error(self, capsys):
         code, _, err = run(capsys, "verify", LEDRAPPIER, "--degree", "nope")
         assert code == 2
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_failed_check_prints_the_report_and_exits_4(self, capsys, monkeypatch, fmt):
+        # One real result flipped to a failure: the whole report is still
+        # written, with no diagnostic, and the exit code says a check failed.
+        real = cli.run_axiom_suite
+
+        def one_fails(*args, **keywords):
+            results = real(*args, **keywords)
+            results[0] = dataclasses.replace(results[0], ok=False)
+            return results
+
+        monkeypatch.setattr(cli, "run_axiom_suite", one_fails)
+        code, out, err = run(capsys, "verify", LEDRAPPIER, "--format", fmt)
+        assert code == 4 and err == ""
+        if fmt == "json":
+            doc = json.loads(out)
+            assert doc["ok"] is False
+            assert [check["ok"] for check in doc["checks"]] == [False] + [True] * 4
+        else:
+            assert [line.split()[0] for line in out.splitlines()] == ["FAIL"] + ["PASS"] * 4
+
+
+@pytest.mark.parametrize("fmt", ["dot", "json"])
+def test_invariant_violation_leaves_stdout_empty_and_exits_4(capsys, monkeypatch, fmt):
+    def broken(bd, limits):
+        raise InvariantViolation("skeleton degree counts disagree")
+
+    monkeypatch.setattr(cli, "build_skeleton", broken)
+    code, out, err = run(capsys, "skeleton", LEDRAPPIER, "--format", fmt)
+    assert code == 4 and out == ""
+    assert json.loads(err)["error"] == "InvariantViolation"
+
+
+class CountedWrites(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize(
+    "command,fmt",
+    [(name, fmt) for name, (*_, options) in cli._COMMANDS.items()
+     for fmt in options["--format"]["choices"]],
+)
+def test_only_the_requested_format_is_built_and_written_once(monkeypatch, command, fmt):
+    calls = Counter()
+
+    def counted(name, real):
+        def wrapper(*args, **keywords):
+            calls[name] += 1
+            return real(*args, **keywords)
+        return wrapper
+
+    for name in ("vertex_to_dict", "to_dot", "census_to_csv", "dumps"):
+        monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+    stdout = CountedWrites()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    path = PRW_LEDRAPPIER if command == "import-prw" else LEDRAPPIER
+    assert main([command, path, "--format", fmt]) == 0
+    assert stdout.writes == 1 and stdout.getvalue()
+    assert calls["dumps"] == (fmt == "json")
+    if command == "skeleton":
+        assert calls["to_dot"] == (fmt == "dot")
+        assert calls["vertex_to_dict"] == (4 if fmt == "json" else 0)
+    if command == "entropy":
+        assert calls["census_to_csv"] == (fmt == "csv")
 
 
 class TestSizeCaps:
