@@ -6,12 +6,12 @@ They enumerate rather than trust the constructions (paths are re-derived by
 a breadth-first window filter, independent of edge-chain composition), so
 they also catch deliberately corrupted data that bypassed validation.
 
-Unique factorisation and associativity hash, slice and compose paths as
-symbol tuples in their layout's slot order, through the cached compose
-plans of :func:`tilegraphs.graph.compose`; a ``Path`` is built only for a
-counterexample.  Unique factorisation composes each split of a degree as
-one column batch (:func:`tilegraphs.graph._compose_rows`) and reads the
-brute-force paths as columns; associativity composes row by row.
+Unique factorisation and associativity compose paths as column batches
+(:func:`tilegraphs.graph._compose_columns`); a ``Path`` is built only for
+a counterexample.  Unique factorisation builds each degree's edge chains
+and composes each split as one batch each; associativity composes each
+needed two-edge chain once, then each range vertex's triples in both
+orders.  Rows are composed one by one only where a batch fails.
 
 On commuting squares, counted per range vertex along the skeleton's
 out-lists: between an ordered vertex pair there is at most one
@@ -25,9 +25,10 @@ degree, with each vertex still meeting ``|A| ** (c1 + c2)`` partners.
 from __future__ import annotations
 
 from array import array
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
-from itertools import chain, compress
+from functools import partial
+from itertools import accumulate, chain, compress, product, repeat
 from typing import Any
 
 from .data import BasicData
@@ -40,15 +41,15 @@ from .graph import (
     Skeleton,
     _check_degree,
     _check_windows,
+    _compose_columns,
     _compose_plan,
     _compose_rows,
-    _compose_symbols,
     _count_chains,
     _layout,
     _path,
     _slice,
-    _walk_paths,
     build_skeleton,
+    compose,
     path_count,
 )
 from .lattice import ORIGIN, Point, box, p_add, p_sub, unit
@@ -213,6 +214,50 @@ def _check_split_count(bd: BasicData, degree: Point, vertices: int, limits: Limi
                "exceed the path cap of {cap}", n=degree)
 
 
+def _join(bd: BasicData, plan, left, right, rows, groups: list) -> list[list]:
+    """The composite columns of each row ``rows[i]`` of ``left`` with the rows
+    ``groups[i]`` of ``right``, in that order (operands given as columns).
+    ``right``'s columns on the shared window are not read, so not gathered."""
+    mus = list(chain.from_iterable(map(repeat, rows, map(len, groups))))
+    nus = list(chain.from_iterable(groups))
+    used = set(plan.gather)
+    columns = [list(map(c.__getitem__, mus)) for c in left]
+    columns += [list(map(c.__getitem__, nus)) if k in used else None
+                for k, c in enumerate(right, len(left))]
+    return _compose_columns(bd, plan, columns)
+
+
+def _edge_columns(sk: Skeleton, colour: str):
+    """The ``colour`` edges numbered in out-list order: their symbols in the
+    slot order of ``T(e)``, one column per slot; their heads; and each
+    vertex's range of edge numbers."""
+    rows = sk._out[colour]
+    symbols = [sk._edge_symbols(colour, v, u) for v, heads in enumerate(rows) for u in heads]
+    ends = list(accumulate(map(len, rows)))
+    spans = list(map(range, [0, *ends], ends))
+    return [list(c) for c in zip(*symbols)], list(chain.from_iterable(rows)), spans
+
+
+def _chain_columns(bd: BasicData, sk: Skeleton, d: Point, enumerated: dict):
+    """The edge chains of degree ``d``, in the order of ``graph._walk_paths``,
+    as columns and each row's source: the walk's last step as one batch,
+    ``enumerated[d - e]`` (``e = e2`` if ``d2 > 0``, else ``e1``) extended
+    by each source's out-list.  A row with a hole raises its error."""
+    if d == ORIGIN:
+        symbols = [v.symbols for v in sk.vertices]
+        return [list(c) for c in zip(*symbols)], list(map(sk.index.__getitem__, sk.vertices))
+    colour = RED if d[1] else BLUE
+    e = unit(COLOUR_AXIS[colour])
+    columns, sources = enumerated[p_sub(d, e)]
+    edges, heads, spans = _edge_columns(sk, colour)
+    groups = list(map(spans.__getitem__, sources))
+    plan = _compose_plan(bd.tile, p_sub(d, e), e)
+    out = _join(bd, plan, columns, edges, range(len(groups)), groups)
+    if any(None in c for c in out):
+        deque(_compose_rows(bd, plan, out), 0)
+    return out, list(map(heads.__getitem__, chain.from_iterable(groups)))
+
+
 def check_unique_factorisation(
     bd: BasicData,
     degree: Point,
@@ -231,85 +276,86 @@ def check_unique_factorisation(
     :class:`SizeLimit` before the first walk.
     """
     _check_degree(degree)
-    tile = bd.tile
+    tile, fail = bd.tile, partial(CheckResult, "unique-factorisation", False)
     try:
         sk = sk if sk is not None else build_skeleton(bd, limits, check=False)
         _check_split_count(bd, degree, len(sk.vertices), limits)
-        # Per degree: its paths' symbols, and the same by range window.  Box
-        # order reaches every degree below ``d`` before ``d``, so a split's
-        # operands are enumerated already, once each.
-        enumerated: dict[Point, tuple[list[tuple[str, ...]], dict]] = {}
+        # Per degree: its chains (columns and sources), and its row numbers
+        # by range window.  Box order reaches every degree below ``d`` before
+        # ``d``, so ``d - e`` and a split's operands are enumerated already.
+        enumerated: dict[Point, tuple[list[list[str]], list[int]]] = {}
+        ranges: dict[Point, dict[tuple[str, ...], list[int]]] = {}
         for d in box(ORIGIN, degree):
-            chained_symbols = list(_walk_paths(bd, sk.vertices, d, sk, limits, False))
-            brute_columns = _window_filter(bd, d, limits)
-            brute_symbols = list(zip(*brute_columns))
-            chain_set, brute_set = set(chained_symbols), set(brute_symbols)
-            if chain_set != brute_set:
+            columns, _ = enumerated[d] = _chain_columns(bd, sk, d, enumerated)
+            brute = _window_filter(bd, d, limits)
+            brute_set = set(zip(*brute))
+            if set(zip(*columns)) != brute_set:
+                chain_set = set(zip(*columns))
                 # Labels of one degree share their cells, so they sort as
                 # their symbols do.
                 odd = min(chain_set ^ brute_set)
-                return CheckResult(
-                    "unique-factorisation",
-                    False,
+                return fail(
                     f"edge-chain and window-filter path sets differ at "
                     f"degree {d} ({len(chain_set)} vs {len(brute_set)})",
                     counterexample=_path(tile, d, odd).labels,
                 )
-            by_range: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
+            by_range = ranges[d] = {}
             window = _slice(tile, d, ORIGIN, ORIGIN)
-            for nu in chained_symbols:
-                by_range.setdefault(tuple([nu[k] for k in window]), []).append(nu)
-            enumerated[d] = chained_symbols, by_range
+            for i, key in enumerate(zip(*[columns[k] for k in window])):
+                by_range.setdefault(key, []).append(i)
+            # Each split is two batches, each tested on its columns; a row
+            # loop runs only to name the first bad row.
             for m in box(ORIGIN, d):
                 n = p_sub(d, m)
                 plan = _compose_plan(tile, m, n)
-                # Each split is one batch: the columns of mu's slots, then nu's.
+                # (a): the columns of mu's slots, then nu's.
                 slots = _slice(tile, d, ORIGIN, m) + _slice(tile, d, m, n)
-                composites = _compose_rows(bd, plan, [brute_columns[k] for k in slots])
-                for lam, got in zip(brute_symbols, composites):
-                    if got != lam:
-                        return CheckResult(
-                            "unique-factorisation",
-                            False,
-                            f"slice-and-compose failed at degree {d}, split {m}",
-                            counterexample=_path(tile, d, lam),
-                        )
-                # Composable pairs in (mu, nu) enumeration order: each mu
-                # meets the nu's whose range is its source, in their order.
-                by_range = enumerated[n][1]
-                pairs = [
-                    (mu, nu)
-                    for mu in enumerated[m][0]
-                    for nu in by_range.get(tuple([mu[k] for k in plan.mu_source]), ())
-                ]
-                columns = [c for side in zip(*pairs) for c in zip(*side)]
-                seen: set[tuple[str, ...]] = set()
-                for lam in _compose_rows(bd, plan, columns):
-                    if lam in seen:
-                        return CheckResult(
-                            "unique-factorisation",
-                            False,
-                            f"two ({m}, {n}) factorisations of one path",
-                            counterexample=_path(tile, d, lam),
-                        )
-                    seen.add(lam)
-                if seen != brute_set:
-                    return CheckResult(
-                        "unique-factorisation",
-                        False,
-                        f"composable ({m}, {n}) pairs do not cover degree {d}",
-                    )
+                out = _compose_columns(bd, plan, [brute[k] for k in slots])
+                if out != brute:
+                    for lam, got in zip(zip(*brute), _compose_rows(bd, plan, out)):
+                        if got != lam:
+                            return fail(f"slice-and-compose failed at degree {d}, split {m}",
+                                        counterexample=_path(tile, d, lam))
+                # (b), in (mu, nu) enumeration order: each mu meets the nu's
+                # whose range is its source, in their order.
+                mus = enumerated[m][0]
+                sources = zip(*[mus[k] for k in plan.mu_source])
+                groups = list(map(ranges[n].get, sources, repeat(())))
+                out = _join(bd, plan, mus, enumerated[n][0], range(len(groups)), groups)
+                if len(out[0]) != len(brute_set) or set(zip(*out)) != brute_set:
+                    seen: set[tuple[str, ...]] = set()
+                    for lam in _compose_rows(bd, plan, out):
+                        if lam in seen:
+                            return fail(f"two ({m}, {n}) factorisations of one path",
+                                        counterexample=_path(tile, d, lam))
+                        seen.add(lam)
+                    return fail(f"composable ({m}, {n}) pairs do not cover degree {d}")
     except SizeLimit:
         raise  # a cap refusal is not an axiom failure
     except TileGraphError as err:
-        return CheckResult(
-            "unique-factorisation", False, f"{err.code}: {err}", counterexample=err
-        )
+        return fail(f"{err.code}: {err}", counterexample=err)
     return CheckResult(
         "unique-factorisation",
         True,
         f"all splits of all paths of degree <= {degree} factor uniquely",
     )
+
+
+def _first_disagreement(bd: BasicData, sk: Skeleton, v: int):
+    """The first edge triple from ``v``, in order, that composes differently
+    in the two orders, by :func:`compose`: the first compose that fails
+    raises its error."""
+
+    def out(w):
+        return [(sk.edge_path(c, w, u), u) for c in (BLUE, RED) for u in sk._out[c][w]]
+
+    for mu, w in out(v):
+        for nu, x in out(w):
+            for rho, _ in out(x):
+                left = compose(bd, compose(bd, mu, nu), rho)
+                if left != compose(bd, mu, compose(bd, nu, rho)):
+                    return mu, nu, rho
+    return None
 
 
 def check_associativity(
@@ -328,49 +374,57 @@ def check_associativity(
         # Composable triples are the three-edge chains along the out-lists,
         # in either colour at each step: O(E) per step to count.
         vertices = range(len(sk.vertices))
-        chains = _count_chains(dict.fromkeys(vertices, 1), [sk._out[BLUE, RED]] * 3)
+        out = sk._out[BLUE, RED]
+        chains = _count_chains(dict.fromkeys(vertices, 1), [out] * 3)
         count = sum(chains.values())
         msg = "associativity: {size} composable edge triples exceed the path cap of {cap}"
         _check_cap(count, limits.max_paths, msg)
-        # ``out`` holds (head, edge number) pairs and ``edges`` (degree,
-        # symbols), every edge read before any compose.
-        edges: list[tuple[Point, tuple[str, ...]]] = []
-        out: list[list[tuple[int, int]]] = [[] for _ in vertices]
-        for v in vertices:
+        for v in vertices:  # every edge is read, vertex by vertex, before any compose
             for c in (BLUE, RED):
                 for u in sk._out[c][v]:
-                    out[v].append((u, len(edges)))
-                    edges.append((unit(COLOUR_AXIS[c]), sk._edge_symbols(c, v, u)))
-
-        def join(a, b):
-            plan = _compose_plan(tile, a[0], b[0])
-            return plan.total, _compose_symbols(bd, plan, a[1], b[1])
-
-        # Each two-edge composite is built the first time a triple needs it,
-        # as ``mu nu`` or as ``nu rho``, so composes run (and fail) in the
-        # order of the triples, never earlier.
-        two: dict[tuple[int, int], tuple] = {}
-
-        def pair(i, j):
-            if (i, j) not in two:
-                two[i, j] = join(edges[i], edges[j])
-            return two[i, j]
-
-        for v in vertices:
-            for w, mu in out[v]:
-                for x, nu in out[w]:
-                    for _, rho in out[x]:
-                        left = join(pair(mu, nu), edges[rho])
-                        right = join(edges[mu], pair(nu, rho))
-                        if left != right:
-                            return CheckResult(
-                                "associativity",
-                                False,
-                                "edge triple composes differently in the two orders",
-                                counterexample=tuple(
-                                    _path(tile, *edges[i]) for i in (mu, nu, rho)
-                                ),
-                            )
+                    sk._edge_symbols(c, v, u)
+        edges = {c: _edge_columns(sk, c) for c in (BLUE, RED)}
+        # Per colour pair, one batch of the chains (mu, nu) in some triple:
+        # nu's head has out-edges or mu's tail in-edges.  Then each vertex's
+        # range of rows, and each row's source.
+        entered = set(chain.from_iterable(out))
+        pairs = {}
+        for a, b in product((BLUE, RED), repeat=2):
+            (cols_a, heads_a, spans_a), (cols_b, heads_b, spans_b) = edges[a], edges[b]
+            groups = [
+                [nu for nu in spans_b[heads_a[mu]] if v in entered or out[heads_b[nu]]]
+                for v in vertices
+                for mu in spans_a[v]
+            ]
+            plan = _compose_plan(tile, unit(COLOUR_AXIS[a]), unit(COLOUR_AXIS[b]))
+            starts = [0, *accumulate(map(len, groups))]
+            pairs[a, b] = (
+                _join(bd, plan, cols_a, cols_b, range(len(groups)), groups),
+                [range(starts[s.start], starts[s.stop]) for s in spans_a],
+                list(map(heads_b.__getitem__, chain.from_iterable(groups))),
+            )
+        # Per range vertex and colour triple, (mu nu) rho and mu (nu rho) as
+        # two batches, equal and with no (falsy) hole, or the vertex's triples
+        # are composed again in order.  Every chain nu rho is in ``bc``, as
+        # mu enters nu's tail.
+        for v, (a, b, c) in product(vertices, product((BLUE, RED), repeat=3)):
+            (cols_a, heads_a, spans_a), (cols_c, _, spans_c) = edges[a], edges[c]
+            (ab, at_ab, sources), (bc, at_bc, _) = pairs[a, b], pairs[b, c]
+            ea, eb, ec = (unit(COLOUR_AXIS[x]) for x in (a, b, c))
+            rows, mus = at_ab[v], spans_a[v]
+            plan = _compose_plan(tile, p_add(ea, eb), ec)
+            left = _join(bd, plan, ab, cols_c, rows, [spans_c[sources[i]] for i in rows])
+            plan = _compose_plan(tile, ea, p_add(eb, ec))
+            right = _join(bd, plan, cols_a, bc, mus, [at_bc[heads_a[mu]] for mu in mus])
+            if left != right or not all(map(all, left)):
+                triple = _first_disagreement(bd, sk, v)
+                if triple:
+                    return CheckResult(
+                        "associativity",
+                        False,
+                        "edge triple composes differently in the two orders",
+                        counterexample=triple,
+                    )
     except SizeLimit:
         raise  # a cap refusal is not an axiom failure
     except TileGraphError as err:

@@ -23,11 +23,12 @@ it.  Each pair of operand degrees has a cached compose plan (which slots
 each operand fills, then the fill steps in the order above), and a slice,
 windows included, is the cached slot list :func:`_slice`, so composing,
 slicing and reading windows index symbol tuples instead of rebuilding
-dicts and translate unions on every call.  The axiom checks in
-:mod:`tilegraphs.checks` and the witness search in
-:mod:`tilegraphs.dynamics` read the walk's tuples directly.  Each edge's
-symbols are derived once per skeleton; on the one-cell tile a plan
-gathers the distinguished symbol into every cell the operands leave.
+dicts and translate unions on every call.  The witness search in
+:mod:`tilegraphs.dynamics` reads the walk's tuples directly; the axiom
+checks in :mod:`tilegraphs.checks` compose column batches
+(:func:`_compose_columns`).  Each edge's symbols are derived once per
+skeleton; on the one-cell tile a plan gathers the distinguished symbol
+into every cell the operands leave.
 
 All values here are immutable; building and enumerating paths is pure.
 """
@@ -484,52 +485,39 @@ def _compose_plan(tile: Tile, dmu: Point, dnu: Point) -> _ComposePlan:
 
 def _run_plan(bd: BasicData, plan: _ComposePlan, a, b) -> list[str]:
     """The composite's symbols from operand symbols ``a`` and ``b`` whose
-    windows at ``dmu`` already match."""
+    windows at ``dmu`` already match.  Each step is one probe of
+    ``bd._rules``; a miss calls :func:`_forced_symbol` to raise its error."""
     out = list(map([*a, *b, bd.distinguished].__getitem__, plan.gather))
+    rules = bd._rules
     for step in plan.steps:
-        out[step[0]] = _forced_symbol(bd, out, step)
+        target, pattern, key, forward = step
+        symbol = rules[forward].get((*map(out.__getitem__, pattern), out[key]))
+        out[target] = _forced_symbol(bd, out, step) if symbol is None else symbol
     return out
 
 
-def _compose_rows(bd, plan, columns) -> Iterator[tuple[str, ...]]:
-    """The composites, in row order, of operands given column by column
-    (``mu``'s slots, then ``nu``'s; their windows at ``dmu`` match).
-
-    Each plan step is one pass over a column through ``bd._rules``.  A
-    missing entry leaves a hole (``None``) that later steps keep; a row
-    with a hole is replayed by :func:`_run_plan`, which raises the entry's
-    error, so errors come in the order of a row-by-row loop.
-    """
-    if not columns:
-        return
-    columns = [*columns, (bd.distinguished,) * len(columns[0])]
-    out = [columns[g] for g in plan.gather]
+def _compose_columns(bd, plan, columns) -> list[list]:
+    """The composites, one column per slot, of operands given column by
+    column (``mu``'s slots, then ``nu``'s, ``None`` where ``plan.gather``
+    never reads; their windows at ``dmu`` match).  Each step is one pass
+    through ``bd._rules``; a missing entry leaves a hole (``None``) that
+    later steps keep, and :func:`_compose_rows` raises its error."""
+    pad = [bd.distinguished] * len(columns[0]) if columns else []
+    out = [columns[g] if g < len(columns) else pad for g in plan.gather]
     for target, pattern, key, forward in plan.steps:
         rule = bd._rules[forward].get
         out[target] = list(map(rule, zip(*[out[k] for k in pattern], out[key])))
-    for i, lam in enumerate(zip(*out)):
+    return out
+
+
+def _compose_rows(bd, plan, out) -> Iterator[tuple[str, ...]]:
+    """The rows of ``out``, composite columns of operands without holes.  At
+    the first row with a hole, the first step that left one runs again on
+    its own and raises, so errors come as from a row-by-row loop."""
+    for lam in zip(*out):
         if None in lam:
-            lam = tuple(_run_plan(bd, plan, [c[i] for c in columns[:-1]], ()))
+            _forced_symbol(bd, lam, next(s for s in plan.steps if lam[s[0]] is None))
         yield lam
-
-
-def _compose_symbols(
-    bd: BasicData, plan: _ComposePlan, a: tuple[str, ...], b: tuple[str, ...]
-) -> tuple[str, ...]:
-    """The composite's symbols from operand symbols ``a`` and ``b`` in the
-    slot order of ``plan``'s layouts.
-
-    Raises
-    ------
-    SourceRangeMismatch
-        If ``a``'s source window differs from ``b``'s range window.
-    """
-    if [a[k] for k in plan.mu_source] != [b[k] for k in plan.nu_range]:
-        raise SourceRangeMismatch(
-            "cannot compose: source window of the first path differs from "
-            "the range window of the second"
-        )
-    return tuple(_run_plan(bd, plan, a, b))
 
 
 def compose(bd: BasicData, mu: Path, nu: Path) -> Path:
@@ -546,8 +534,13 @@ def compose(bd: BasicData, mu: Path, nu: Path) -> Path:
     if mu.tile != bd.tile or nu.tile != bd.tile:
         raise ValidationError("cannot compose: both paths must be on the data's tile")
     plan = _compose_plan(bd.tile, mu.degree, nu.degree)
-    symbols = _compose_symbols(bd, plan, _symbols(mu), _symbols(nu))
-    return _path(bd.tile, plan.total, symbols)
+    a, b = _symbols(mu), _symbols(nu)
+    if [a[k] for k in plan.mu_source] != [b[k] for k in plan.nu_range]:
+        raise SourceRangeMismatch(
+            "cannot compose: source window of the first path differs from "
+            "the range window of the second"
+        )
+    return _path(bd.tile, plan.total, _run_plan(bd, plan, a, b))
 
 
 @lru_cache(maxsize=256)

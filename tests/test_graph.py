@@ -46,6 +46,7 @@ from tilegraphs import (
 )
 from tilegraphs.checks import (
     CheckResult,
+    _chain_columns,
     _check_split_count,
     brute_force_paths,
     check_associativity,
@@ -56,12 +57,15 @@ from tilegraphs.checks import (
 )
 from tilegraphs.data import Alphabet, BasicData, vertex_from_labels
 from tilegraphs.graph import (
+    _compose_columns,
     _compose_plan,
     _compose_rows,
     _count_chains,
     _layout,
     _pairwise_edges,
+    _path,
     _run_plan,
+    _walk_paths,
 )
 from tilegraphs.lattice import box, contained_translates, p_add, p_leq
 from tilegraphs.shifts import WindowConfig, entropy_sequence
@@ -806,13 +810,13 @@ class TestAxiomSuites:
         import tilegraphs.checks as checks
 
         calls = Counter()
-        real = checks._walk_paths
+        real = checks._chain_columns
 
-        def counted(bd, roots, n, *args):
+        def counted(bd, sk, n, *args):
             calls[n] += 1
-            return real(bd, roots, n, *args)
+            return real(bd, sk, n, *args)
 
-        monkeypatch.setattr(checks, "_walk_paths", counted)
+        monkeypatch.setattr(checks, "_chain_columns", counted)
         brute = Counter()
         real_brute = checks._window_filter
 
@@ -847,7 +851,10 @@ class TestAxiomSuites:
             _run_plan(bd, plan, rows[1], ())
         with pytest.raises(UnknownSymbol, match="'y'"):
             _run_plan(bd, plan, rows[2], ())
-        batch = _compose_rows(bd, plan, list(zip(*rows)))
+        columns = [list(c) for c in zip(*rows)]
+        out = _compose_columns(bd, plan, columns)
+        assert [None in lam for lam in zip(*out)] == [False, True, True]
+        batch = _compose_rows(bd, plan, out)
         assert next(batch) == tuple(s for _, s in compose(bd, mu, nu).labels)
         with pytest.raises(MissingPattern) as err:
             next(batch)
@@ -857,13 +864,13 @@ class TestAxiomSuites:
     def test_associativity_composes_each_two_edge_chain_once(
         self, ledrappier, ledrappier_sk, monkeypatch, dead
     ):
-        # Two composes per composable triple, plus one per two-edge chain
+        # Batch rows: two per composable triple, plus one per two-edge chain
         # that some triple has as mu nu or as nu rho: 2 * 256 + 64 on
         # ledrappier, where four composes per triple would give 1,024.  With
         # vertex ``dead`` left without out-edges and vertex 0 without
         # in-edges, the chains from 0 into ``dead`` are in no triple, so they
         # are never composed.
-        import tilegraphs.graph as graph
+        import tilegraphs.checks as checks
 
         sk = ledrappier_sk
         if dead is not None:
@@ -876,19 +883,57 @@ class TestAxiomSuites:
         triples = [(a, b, c) for a, b in chains for c in edges if b[2] == c[1]]
         needed = {t[:2] for t in triples} | {t[1:] for t in triples}
         runs = Counter()
-        real = graph._run_plan
+        real = checks._compose_columns
 
-        def counted(*args):
-            runs["plan"] += 1
-            return real(*args)
+        def counted(bd, plan, columns):
+            runs["rows"] += len(columns[0]) if columns else 0
+            return real(bd, plan, columns)
 
-        monkeypatch.setattr(graph, "_run_plan", counted)
+        monkeypatch.setattr(checks, "_compose_columns", counted)
         assert check_associativity(ledrappier, sk=sk).ok
-        assert runs["plan"] == 2 * len(triples) + len(needed)
+        assert runs["rows"] == 2 * len(triples) + len(needed)
         if dead is None:
-            assert runs["plan"] == 2 * 256 + 64
+            assert runs["rows"] == 2 * 256 + 64
         else:
             assert len(needed) < len(chains)
+
+    @pytest.mark.parametrize("variant", ["hole", "difference"])
+    def test_associativity_reports_the_first_bad_triple_in_order(self, ledrappier, variant):
+        # From vertex 0 the triples run in out-list order: triple 8 is the
+        # first blue-red-blue one and triple 18 a blue-blue-red one.  The
+        # batches run by colour triple, blue-blue-red before blue-red-blue.
+        # Without f_inv's row for '1', triple 18 is the first to meet a
+        # missing pattern; that hole is in the batch that runs first, so a
+        # check that raised the first hole in batch order would report it.
+        f, inv = dict(ledrappier.bijections), dict(ledrappier.inverses)
+        del inv["1",]
+        sk = build_skeleton(ledrappier)
+        if variant == "hole":
+            # Without f's row for '0' too, triple 8 meets a missing pattern.
+            del f["0",]
+            want = "MissingPattern: no bijection for pattern '0'"
+        else:
+            # The red loop at vertex 0 gets a source window that is not
+            # vertex 0.  Triple 8, whose nu it is, is the first whose windows
+            # disagree, which compose names; the batches, which read no
+            # windows, see the two orders differ only at red-blue-red
+            # triples, batched after the hole's.
+            symbols = list(sk._edge_symbols("red", 0, 0))
+            k = _layout(ledrappier.tile, (0, 1)).slot[0, 2]
+            symbols[k] = "1" if symbols[k] == "0" else "0"
+            sk._edge_cache["red", 0, 0] = tuple(symbols)
+            want = (
+                "SourceRangeMismatch: cannot compose: source window of the first "
+                "path differs from the range window of the second"
+            )
+        bd = BasicData(ledrappier.tile, ledrappier.alphabet, f, inv)
+        result = check_associativity(bd, sk=sk)
+        assert (result.ok, result.detail) == (False, want)
+        assert result_key(result) == result_key(twin_associativity(bd, sk=sk))
+        intact = BasicData(ledrappier.tile, ledrappier.alphabet, ledrappier.bijections, inv)
+        assert check_associativity(intact).detail == (
+            "MissingPattern: no bijection for pattern '1'"
+        )
 
     @pytest.mark.parametrize("cap", [5, 15])
     def test_brute_force_names_the_degree_and_the_cap(self, ledrappier, cap):
@@ -1784,6 +1829,19 @@ BASIC_DATA_INPUTS = sorted(
     for path in [*DATA_DIR.glob("*.json"), *(ROOT / "perfbench" / "inputs").rglob("*.json")]
     if path.name != "cap1024.json" and "bijections" in json.loads(path.read_text())
 )
+
+
+@pytest.mark.parametrize("path", BASIC_DATA_INPUTS, ids=lambda path: path.stem)
+def test_the_chain_batch_is_the_walk(path):
+    # Each degree's edge chains, one batch extending the degree one edge
+    # below, are the walk's paths in the walk's order, with their sources.
+    bd = basic_data_from_dict(json.loads(path.read_text()))
+    sk, enumerated = build_skeleton(bd), {}
+    for d in box((0, 0), (2, 2)):
+        columns, sources = enumerated[d] = _chain_columns(bd, sk, d, enumerated)
+        walk = list(_walk_paths(bd, sk.vertices, d, sk, Limits(), False))
+        assert list(zip(*columns)) == walk
+        assert sources == [sk.index[_path(bd.tile, d, lam).source_vertex] for lam in walk]
 
 
 @pytest.mark.parametrize("path", BASIC_DATA_INPUTS, ids=lambda path: path.stem)
