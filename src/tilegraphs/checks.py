@@ -6,12 +6,12 @@ They enumerate rather than trust the constructions (paths are re-derived by
 a breadth-first window filter, independent of edge-chain composition), so
 they also catch deliberately corrupted data that bypassed validation.
 
-Unique factorisation and associativity compose paths as column batches
-(:func:`tilegraphs.graph._compose_columns`); a ``Path`` is built only for
-a counterexample.  Unique factorisation builds each degree's edge chains
-and composes each split as one batch each; associativity composes each
-needed two-edge chain once, then each range vertex's triples in both
-orders.  Rows are composed one by one only where a batch fails.
+Unique factorisation takes each degree's edge chains one frontier step
+from the degree one edge below, and composes each split as one column
+batch (:func:`tilegraphs.graph._compose_columns`); associativity composes
+each needed two-edge chain once, then each range vertex's triples in both
+orders.  A ``Path`` is built only for a counterexample, and rows are
+composed one by one only where a batch fails.
 
 On commuting squares, counted per range vertex along the skeleton's
 out-lists: between an ordered vertex pair there is at most one
@@ -25,7 +25,7 @@ degree, with each vertex still meeting ``|A| ** (c1 + c2)`` partners.
 from __future__ import annotations
 
 from array import array
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate, chain, compress, product, repeat
@@ -45,6 +45,7 @@ from .graph import (
     _compose_plan,
     _compose_rows,
     _count_chains,
+    _frontier,
     _layout,
     _path,
     _slice,
@@ -227,37 +228,6 @@ def _join(bd: BasicData, plan, left, right, rows, groups: list) -> list[list]:
     return _compose_columns(bd, plan, columns)
 
 
-def _edge_columns(sk: Skeleton, colour: str):
-    """The ``colour`` edges numbered in out-list order: their symbols in the
-    slot order of ``T(e)``, one column per slot; their heads; and each
-    vertex's range of edge numbers."""
-    rows = sk._out[colour]
-    symbols = [sk._edge_symbols(colour, v, u) for v, heads in enumerate(rows) for u in heads]
-    ends = list(accumulate(map(len, rows)))
-    spans = list(map(range, [0, *ends], ends))
-    return [list(c) for c in zip(*symbols)], list(chain.from_iterable(rows)), spans
-
-
-def _chain_columns(bd: BasicData, sk: Skeleton, d: Point, enumerated: dict):
-    """The edge chains of degree ``d``, in the order of ``graph._walk_paths``,
-    as columns and each row's source: the walk's last step as one batch,
-    ``enumerated[d - e]`` (``e = e2`` if ``d2 > 0``, else ``e1``) extended
-    by each source's out-list.  A row with a hole raises its error."""
-    if d == ORIGIN:
-        symbols = [v.symbols for v in sk.vertices]
-        return [list(c) for c in zip(*symbols)], list(map(sk.index.__getitem__, sk.vertices))
-    colour = RED if d[1] else BLUE
-    e = unit(COLOUR_AXIS[colour])
-    columns, sources = enumerated[p_sub(d, e)]
-    edges, heads, spans = _edge_columns(sk, colour)
-    groups = list(map(spans.__getitem__, sources))
-    plan = _compose_plan(bd.tile, p_sub(d, e), e)
-    out = _join(bd, plan, columns, edges, range(len(groups)), groups)
-    if any(None in c for c in out):
-        deque(_compose_rows(bd, plan, out), 0)
-    return out, list(map(heads.__getitem__, chain.from_iterable(groups)))
-
-
 def check_unique_factorisation(
     bd: BasicData,
     degree: Point,
@@ -283,10 +253,17 @@ def check_unique_factorisation(
         # Per degree: its chains (columns and sources), and its row numbers
         # by range window.  Box order reaches every degree below ``d`` before
         # ``d``, so ``d - e`` and a split's operands are enumerated already.
-        enumerated: dict[Point, tuple[list[list[str]], list[int]]] = {}
+        columns = [list(c) for c in zip(*[v.symbols for v in sk.vertices])]
+        enumerated = {ORIGIN: (columns, list(map(sk.index.__getitem__, sk.vertices)))}
         ranges: dict[Point, dict[tuple[str, ...], list[int]]] = {}
         for d in box(ORIGIN, degree):
-            columns, _ = enumerated[d] = _chain_columns(bd, sk, d, enumerated)
+            if d != ORIGIN:  # one step from the degree one edge below
+                base = p_sub(d, (0, 1) if d[1] else (1, 0))
+                columns, sources = enumerated[base]
+                batch = (base, dict(zip(_layout(tile, base).cells, columns)), sources)
+                _, cells, sources = _frontier(bd, sk, batch, d)
+                enumerated[d] = [cells[c] for c in _layout(tile, d).cells], sources
+            columns = enumerated[d][0]
             brute = _window_filter(bd, d, limits)
             brute_set = set(zip(*brute))
             if set(zip(*columns)) != brute_set:
@@ -383,7 +360,7 @@ def check_associativity(
             for c in (BLUE, RED):
                 for u in sk._out[c][v]:
                     sk._edge_symbols(c, v, u)
-        edges = {c: _edge_columns(sk, c) for c in (BLUE, RED)}
+        edges = {c: sk._edge_batch(c) for c in (BLUE, RED)}
         # Per colour pair, one batch of the chains (mu, nu) in some triple:
         # nu's head has out-edges or mu's tail in-edges.  Then each vertex's
         # range of rows, and each row's source.

@@ -14,7 +14,7 @@ An independent semi-decision oracle is provided by the bounded witness
 search: a path whose two slices at offsets ``m`` and ``n`` differ witnesses
 that the pair ``(m, n)`` cannot be a period at its root vertex.
 :func:`witness_evidence`, the ``analyze`` note of a table without a
-certificate, walks each vertex's paths once per depth.
+certificate, walks each vertex's paths once per depth, first path first.
 """
 
 from __future__ import annotations
@@ -31,13 +31,13 @@ from .graph import (
     Path,
     Skeleton,
     _axis,
+    _chain_walk,
     _checked_path_count,
     _count_chains,
     _overlap_pairs,
     _path,
     _path_exponent,
     _slice,
-    _walk_paths,
     build_skeleton,
 )
 from .lattice import ORIGIN, Point, p_add, p_join, p_leq, p_meet, p_sub
@@ -286,7 +286,7 @@ def _first_witnesses(bd, v, pairs, depth, skeleton, limits) -> list:
     rests = [p_sub(depth, p_join(m, n)) for m, n in pairs]
     slices = [[_slice(bd.tile, depth, k, r) for k in mn] for mn, r in zip(pairs, rests)]
     found = [None] * len(pairs)
-    for lam in _walk_paths(bd, [v], depth, skeleton, limits, True):
+    for lam in _chain_walk(bd, v, depth, skeleton, limits):
         for i, (left, right) in enumerate(slices):
             if found[i] is None and [lam[k] for k in left] != [lam[k] for k in right]:
                 found[i] = lam

@@ -9,26 +9,19 @@ for ``e2``.
 
 Composition of paths with matching source and range is total and unique: the
 two rectangular regions left uncovered by the operands are filled one corner
-cell at a time, each cell forced by the single tile window it completes.
-The bottom-right rectangle is filled column by column (left to right, top to
-bottom within a column) using the forward bijections; the upper-left
-rectangle row by row (bottom to top, right to left within a row) using the
-inverses.  Any consistent order would give the same labels; this one makes
-the intermediate states easy to test.
+cell at a time, each cell forced by the single tile window it completes, in
+the order :func:`_fills` gives.  Any consistent order would give the same
+labels; this one makes the intermediate states easy to test.
 
 Inside the library a path of degree ``n`` is the tuple of its symbols in
-the slot order of ``T(n)``'s cached layout (its cells, sorted); a ``Path``
-is built from one by :func:`_path` only where a public function returns
-it.  Each pair of operand degrees has a cached compose plan (which slots
-each operand fills, then the fill steps in the order above), and a slice,
-windows included, is the cached slot list :func:`_slice`, so composing,
-slicing and reading windows index symbol tuples instead of rebuilding
-dicts and translate unions on every call.  The witness search in
-:mod:`tilegraphs.dynamics` reads the walk's tuples directly; the axiom
-checks in :mod:`tilegraphs.checks` compose column batches
-(:func:`_compose_columns`).  Each edge's symbols are derived once per
-skeleton; on the one-cell tile a plan gathers the distinguished symbol
-into every cell the operands leave.
+the slot order of ``T(n)``'s cached layout; a ``Path`` is built by
+:func:`_path` only where a public function returns one.  A composition
+follows a cached plan per pair of operand degrees, run as a column batch
+(:func:`_compose_columns`), and a slice is a cached slot list
+(:func:`_slice`).  Every path enumeration is one edge-chain extension,
+:func:`_chain_step`, which writes only the cells one more edge adds:
+breadth first over whole degrees, or, for the witness search, along the
+first path one edge at a time before the rest (:func:`_chain_walk`).
 
 All values here are immutable; building and enumerating paths is pure.
 """
@@ -36,7 +29,8 @@ All values here are immutable; building and enumerating paths is pure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import accumulate, chain
 from typing import Iterator, Mapping, Sequence
 
 from .data import (
@@ -206,6 +200,7 @@ class Skeleton:
     def __post_init__(self):
         n = len(self.vertices)
         self._edge_cache: dict[tuple[str, int, int], tuple[str, ...]] = {}
+        self._edge_batches: dict[str, tuple] = {}  # by colour
         out = self._out = {}
         for colour in (BLUE, RED):
             adj: list[list[int]] = [[] for _ in range(n)]
@@ -258,6 +253,21 @@ class Skeleton:
                     )
             self._edge_cache[key] = tuple(out[k] for k in range(len(out)))
         return self._edge_cache[key]
+
+    def _edge_batch(self, colour: str) -> tuple:
+        """The ``colour`` edges in out-list order: one column of symbols per
+        slot of ``T(e)``, their heads, and each vertex's range of edge
+        numbers; built from :meth:`_edge_symbols` at first use and kept."""
+        if colour not in self._edge_batches:
+            rows, edge = self._out[colour], partial(self._edge_symbols, colour)
+            symbols = [edge(v, u) for v, us in enumerate(rows) for u in us]
+            width = len(_layout(self.basic_data.tile, unit(_axis(colour))).cells)
+            ends = list(accumulate(map(len, rows)))
+            self._edge_batches[colour] = (
+                [[s[k] for s in symbols] for k in range(width)],
+                list(chain.from_iterable(rows)), list(map(range, [0, *ends], ends)),
+            )
+        return self._edge_batches[colour]
 
 
 def build_skeleton(
@@ -339,6 +349,20 @@ def _corner_step(tile: Tile, base: Point, forward: bool) -> tuple:
         target, key = key, target
     pattern = tuple(p_add(t, base) for t in tile.sorted_reduced)
     return p_add(target, base), pattern, p_add(key, base), forward
+
+
+def _fills(tile: Tile, dmu: Point, total: Point) -> list[tuple]:
+    """The fills that compose a path of degree ``dmu`` with one of degree
+    ``total - dmu``: the bottom-right rectangle column by column (left to
+    right, top to bottom) forward, then the upper-left one row by row
+    (bottom to top, right to left) backward."""
+    return [
+        _corner_step(tile, (x, y), True)
+        for x in range(dmu[0] + 1, total[0] + 1) for y in range(dmu[1] - 1, -1, -1)
+    ] + [
+        _corner_step(tile, (x, y), False)
+        for y in range(dmu[1] + 1, total[1] + 1) for x in range(dmu[0] - 1, -1, -1)
+    ]
 
 
 def _forced_symbol(bd: BasicData, values, step: tuple) -> str:
@@ -423,15 +447,9 @@ class _ComposePlan:
 
 @lru_cache(maxsize=256)
 def _compose_plan(tile: Tile, dmu: Point, dnu: Point) -> _ComposePlan:
-    """Lay out a composition once per ``(tile, dmu, dnu)``.
-
-    The bottom-right rectangle is filled column by column (left to right,
-    top to bottom within a column) with the forward bijections, then the
-    upper-left one row by row (bottom to top, right to left) with the
-    inverses.  Every fill window must be complete when its turn comes and
-    the result must cover ``T(dmu + dnu)``: facts about the geometry alone,
-    checked here rather than on every call.
-    """
+    """Lay out a composition once per ``(tile, dmu, dnu)``.  Every window of
+    :func:`_fills` must be complete when its turn comes and the result must
+    cover ``T(dmu + dnu)``: geometry alone, checked here, not on every call."""
     total = p_add(dmu, dnu)
     lmu, lnu, out = _layout(tile, dmu), _layout(tile, dnu), _layout(tile, total)
     past = len(lmu.cells) + len(lnu.cells)
@@ -450,25 +468,16 @@ def _compose_plan(tile: Tile, dmu: Point, dnu: Point) -> _ComposePlan:
             )
     steps = []
     if not tile.degenerate:
-        c1, c2 = tile.c1, tile.c2
-        todo = [
-            ((x, y), (x - c1, y), True)
-            for x in range(c1 + dmu[0] + 1, c1 + total[0] + 1)
-            for y in range(dmu[1] - 1, -1, -1)
-        ] + [
-            ((x, y), (x, y - c2), False)
-            for y in range(c2 + dmu[1] + 1, c2 + total[1] + 1)
-            for x in range(dmu[0] - 1, -1, -1)
-        ]
+        steps = _fills(tile, dmu, total)
         have = {out.cells[k] for k, g in enumerate(gather) if g < past}
-        for cell, base, forward in todo:
-            missing = tile.translate(base) - have - {cell}
+        for cell, pattern, key, forward in steps:
+            missing = {*pattern, key} - have
             if missing:
+                base = p_sub(key, tile.corner_ul if forward else tile.corner_br)
                 raise InvariantViolation(
                     f"cannot fill {cell}: window at {base} is missing {sorted(missing)}"
                 )
             have.add(cell)
-            steps.append(_corner_step(tile, base, forward))
         if have != set(out.cells):
             raise InvariantViolation(
                 "corner filling did not produce the full translate union"
@@ -481,19 +490,6 @@ def _compose_plan(tile: Tile, dmu: Point, dnu: Point) -> _ComposePlan:
         _slice(tile, dmu, dmu, ORIGIN), _slice(tile, dnu, ORIGIN, ORIGIN), total,
         tuple(gather), tuple(steps),
     )
-
-
-def _run_plan(bd: BasicData, plan: _ComposePlan, a, b) -> list[str]:
-    """The composite's symbols from operand symbols ``a`` and ``b`` whose
-    windows at ``dmu`` already match.  Each step is one probe of
-    ``bd._rules``; a miss calls :func:`_forced_symbol` to raise its error."""
-    out = list(map([*a, *b, bd.distinguished].__getitem__, plan.gather))
-    rules = bd._rules
-    for step in plan.steps:
-        target, pattern, key, forward = step
-        symbol = rules[forward].get((*map(out.__getitem__, pattern), out[key]))
-        out[target] = _forced_symbol(bd, out, step) if symbol is None else symbol
-    return out
 
 
 def _compose_columns(bd, plan, columns) -> list[list]:
@@ -540,7 +536,8 @@ def compose(bd: BasicData, mu: Path, nu: Path) -> Path:
             "cannot compose: source window of the first path differs from "
             "the range window of the second"
         )
-    return _path(bd.tile, plan.total, _run_plan(bd, plan, a, b))
+    (lam,) = _compose_rows(bd, plan, _compose_columns(bd, plan, [[s] for s in a + b]))
+    return _path(bd.tile, plan.total, lam)
 
 
 @lru_cache(maxsize=256)
@@ -623,8 +620,9 @@ def enumerate_paths(
     ``strict=False`` drops the count cross-check, for suites that probe
     deliberately broken data.
     """
-    walk = _walk_paths(bd, [v], n, skeleton, limits, strict)
-    return [_path(bd.tile, n, symbols) for symbols in walk]
+    sk, batch = _root(bd, v, n, skeleton, limits, strict)
+    columns = map(_frontier(bd, sk, batch, n)[1].__getitem__, _layout(bd.tile, n).cells)
+    return [_path(bd.tile, n, symbols) for symbols in zip(*columns)]
 
 
 def _count_chains(counts, tables) -> dict[int, int]:
@@ -638,43 +636,75 @@ def _count_chains(counts, tables) -> dict[int, int]:
     return counts
 
 
-def _walk_paths(bd, roots, n, skeleton, limits, strict) -> Iterator[tuple[str, ...]]:
-    """The symbols of the degree-``n`` paths from each root in turn, in the
-    slot order of ``T(n)``, depth first: children are composed in out-list
-    order and pushed reversed on an explicit stack (flat tiles reach
-    degrees like ``(1500, 0)``).  One cap check covers all roots; a root's
-    strict count runs before its first compose."""
-    expected = _checked_path_count(bd, n, len(roots), limits)
-    tile = bd.tile
+@lru_cache(maxsize=256)
+def _step_geometry(tile: Tile, d: Point, colour: str) -> tuple:
+    """What a ``colour`` step from degree ``d`` writes: each slot of the edge
+    whose cell lies outside ``T``, with that cell moved by ``d``, then the
+    fills; and the degree it reaches.  Cached: the walks of one witness
+    search take the same steps from many roots."""
+    e = unit(COLOUR_AXIS[colour])
+    cells = enumerate(_layout(tile, e).cells)
+    added = [(k, p_add(c, d)) for k, c in cells if c not in tile]
+    return added, _fills(tile, d, p_add(d, e)), p_add(d, e)
+
+
+def _chain_step(bd: BasicData, sk: Skeleton, batch, colour: str, first: bool = False):
+    """A batch ``(d, cells, sources)`` of edge chains (their degree, each
+    cell's column of symbols and each row's source) extended by each
+    ``colour`` edge out of each source (``first``: the first alone), in
+    out-list order, reusing the dict.
+    Only the cells of ``T(d + e)`` outside ``T(d)`` are written: the edge's
+    own, then :func:`_fills`' cells, one pass through ``bd._rules`` each (in
+    chain order a red step from ``(d1, d2)`` fills ``d1``, a blue step none).
+    The first row with a hole raises its first fill's error, in row order."""
+    tile, (d, cells, sources) = bd.tile, batch
+    columns, heads, spans = sk._edge_batch(colour)
+    groups = [g[:1] if first else g for g in map(spans.__getitem__, sources)]
+    edges = list(chain.from_iterable(groups))
+    if len(edges) != len(sources) or not all(groups):  # else row i extends row i
+        take = [r for r, g in enumerate(groups) for _ in g]
+        rows = list(zip(*cells.values()))  # re-indexed as rows: one gather for all cells
+        rows = list(map(rows.__getitem__, take))
+        cells = dict(zip(cells, map(list, zip(*rows)))) if rows else dict.fromkeys(cells, [])
+    added, steps, d = _step_geometry(tile, d, colour)
+    for k, c in added:
+        cells[c] = list(map(columns[k].__getitem__, edges))
+    for target, pattern, key, forward in steps:
+        cells[target] = [bd.distinguished] * len(edges) if tile.degenerate else list(
+            map(bd._rules[forward].get, zip(*map(cells.__getitem__, pattern), cells[key]))
+        )
+    holes = [cells[s[0]].index(None) for s in steps if None in cells[s[0]]]
+    if holes:
+        values = {c: column[min(holes)] for c, column in cells.items()}
+        _forced_symbol(bd, values, next(s for s in steps if values[s[0]] is None))
+    return d, cells, list(map(heads.__getitem__, edges))
+
+
+def _frontier(bd: BasicData, sk: Skeleton, batch, n: Point):
+    """``batch`` extended breadth first to degree ``n``, blue steps first."""
+    while batch[0] != n:
+        batch = _chain_step(bd, sk, batch, BLUE if batch[0][0] < n[0] else RED)
+    return batch
+
+
+def _root(bd, v, n, skeleton, limits, strict) -> tuple[Skeleton, tuple]:
+    """The skeleton and the batch of ``v`` alone, after the checks before any
+    step: the path cap, ``ValidationError`` unless ``v`` is a vertex, then
+    (``strict``) ``InvariantViolation`` unless its degree-``n`` edge chains
+    are as many."""
+    expected = _checked_path_count(bd, n, 1, limits)
     sk = skeleton if skeleton is not None else build_skeleton(bd, limits)
-    colours = (BLUE,) * n[0] + (RED,) * n[1]
-    tables = [sk._out[c] for c in colours]
-    # Before step i the chain has degree (i, 0), or (n1, i - n1) once red.
-    plans = [
-        _compose_plan(tile, (min(i, n[0]), max(i - n[0], 0)), unit(COLOUR_AXIS[c]))
-        for i, c in enumerate(colours)
-    ]
-    for v in roots:
-        if v not in sk.index:
-            raise ValidationError(f"range vertex {v.labels} is not a skeleton vertex")
-        if strict:
-            chains = sum(_count_chains({sk.index[v]: 1}, tables).values())
-            if chains != expected:
-                raise InvariantViolation(
-                    f"enumerated {chains} paths of degree {n}, expected {expected}"
-                )
-        # Nodes are (step, symbols, source): the next edge leaves that source.
-        stack = [(0, v.symbols, sk.index[v])]
-        while stack:
-            i, symbols, src = stack.pop()
-            if i == len(plans):
-                yield tuple(symbols)
-                continue
-            children = []
-            for u in tables[i][src]:
-                edge = sk._edge_symbols(colours[i], src, u)
-                children.append((i + 1, _run_plan(bd, plans[i], symbols, edge), u))
-            stack.extend(reversed(children))
+    if v not in sk.index:
+        raise ValidationError(f"range vertex {v.labels} is not a skeleton vertex")
+    if strict:
+        tables = [sk._out[BLUE]] * n[0] + [sk._out[RED]] * n[1]
+        chains = sum(_count_chains({sk.index[v]: 1}, tables).values())
+        if chains != expected:
+            raise InvariantViolation(
+                f"enumerated {chains} paths of degree {n}, expected {expected}"
+            )
+    cells = dict(zip(bd.tile.sorted_points, ([s] for s in v.symbols)))
+    return sk, (ORIGIN, cells, [sk.index[v]])
 
 
 def all_paths(
@@ -686,5 +716,29 @@ def all_paths(
 ) -> list[Path]:
     """All paths of degree ``n``, grouped by range vertex in canonical order."""
     sk = skeleton if skeleton is not None else build_skeleton(bd, limits)
-    walk = _walk_paths(bd, sk.vertices, n, sk, limits, strict)
-    return [_path(bd.tile, n, symbols) for symbols in walk]
+    _checked_path_count(bd, n, len(sk.vertices), limits)
+    walks = (enumerate_paths(bd, v, n, sk, limits, strict) for v in sk.vertices)
+    return [lam for walk in walks for lam in walk]
+
+
+def _chain_walk(bd, v, n, skeleton, limits) -> Iterator[tuple[str, ...]]:
+    """:func:`enumerate_paths`, strict, as symbols in ``T(n)``'s slot order,
+    for a caller that may stop early: the first path alone, one edge at a
+    time, keeping each node on it with more than one child; then, deepest
+    first, each kept node's other children with their subtrees, breadth
+    first."""
+    sk, batch = _root(bd, v, n, skeleton, limits, True)
+    order, kept = _layout(bd.tile, n).cells, []
+    while batch[0] != n and batch[2]:
+        colour = BLUE if batch[0][0] < n[0] else RED
+        if len(sk._out[colour][batch[2][0]]) > 1:  # a copy: the step reuses the dict
+            kept.append(((batch[0], dict(batch[1]), batch[2]), colour))
+        batch = _chain_step(bd, sk, batch, colour, first=True)
+    while True:
+        if batch[0] == n:
+            yield from zip(*map(batch[1].__getitem__, order))
+        if not kept:
+            return
+        d, cells, sources = _chain_step(bd, sk, *kept.pop())  # row 0 is walked already
+        rest = (d, {c: column[1:] for c, column in cells.items()}, sources[1:])
+        batch = _frontier(bd, sk, rest, n)

@@ -698,10 +698,10 @@ class TestWitnessEvidenceAgainstTwin:
         import tilegraphs.dynamics as dynamics
 
         calls = []
-        walk = dynamics._walk_paths
+        walk = dynamics._chain_walk
         monkeypatch.setattr(
             dynamics,
-            "_walk_paths",
+            "_chain_walk",
             lambda *args, **kwargs: calls.append(args) or walk(*args, **kwargs),
         )
         bd = identity_data()
@@ -760,14 +760,14 @@ class TestWitnessEvidenceAgainstTwin:
         v = sk.vertices[vi % len(sk.vertices)]
         depth = p_add(p_join(*group[0]), bound)
         paths = enumerate_paths(bd, v, depth, skeleton=sk)
-        walked, walk = [], dynamics._walk_paths
+        walked, walk = [], dynamics._chain_walk
 
         def counted(*args):
             for lam in walk(*args):
                 walked.append(lam)
                 yield lam
 
-        with mock.patch.object(dynamics, "_walk_paths", counted):
+        with mock.patch.object(dynamics, "_chain_walk", counted):
             found = _first_witnesses(bd, v, group, depth, sk, Limits())
         twins = [twin_first_witness(paths, m, n, depth) for m, n in group]
         assert [None if lam is None else _path(bd.tile, depth, lam) for lam in found] == twins

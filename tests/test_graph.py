@@ -46,7 +46,6 @@ from tilegraphs import (
 )
 from tilegraphs.checks import (
     CheckResult,
-    _chain_columns,
     _check_split_count,
     brute_force_paths,
     check_associativity,
@@ -57,6 +56,9 @@ from tilegraphs.checks import (
 )
 from tilegraphs.data import Alphabet, BasicData, vertex_from_labels
 from tilegraphs.graph import (
+    _chain_step,
+    _chain_walk,
+    _checked_path_count,
     _compose_columns,
     _compose_plan,
     _compose_rows,
@@ -64,8 +66,6 @@ from tilegraphs.graph import (
     _layout,
     _pairwise_edges,
     _path,
-    _run_plan,
-    _walk_paths,
 )
 from tilegraphs.lattice import box, contained_translates, p_add, p_leq
 from tilegraphs.shifts import WindowConfig, entropy_sequence
@@ -615,6 +615,33 @@ class TestEnumeratePaths:
         assert lam.degree == (1500, 0) and lam.range_vertex == v
         assert flat.is_vertex(lam.source_vertex)
 
+    def test_deep_walks_build_no_layout_or_plan_per_step(self, flat):
+        # Each walk, on a fresh skeleton, builds the layouts of a few degrees
+        # and no compose plan, at (750, 0) as at (1500, 0): a layout or a
+        # plan per prefix degree would make a walk quadratic in its depth.
+        from tilegraphs.graph import _slice
+
+        tripod = validate_basic_data(TRIPOD, ["a"], {"a": ["a"]})
+        misses = {}
+        for k in (750, 1500):
+            for name, bd, walk in (
+                ("enumerate", flat, lambda sk: enumerate_paths(flat, sk.vertices[0], (k, 0), sk)),
+                ("witness", tripod, lambda sk: periodicity_witness_search(
+                    tripod, sk.vertices[0], (1, 0), (0, 0), depth=(k + 1, 0), skeleton=sk
+                )),
+            ):
+                sk = build_skeleton(bd)
+                for cache in (_layout, _compose_plan, _slice):
+                    cache.cache_clear()
+                walk(sk)
+                misses[k, name] = (
+                    _layout.cache_info().misses, _compose_plan.cache_info().misses
+                )
+        # The layouts: T(0) and T(e1) for the edges, T(k, 0) for the paths,
+        # and the witness slices' T(k, 0) besides the tripod's T(k + 1, 0).
+        want = {"enumerate": (3, 0), "witness": (4, 0)}
+        assert misses == {(k, name): want[name] for k in (750, 1500) for name in want}
+
     def test_brute_force_backtracks_deeper_than_the_recursion_limit(
         self, flat, flat_sk
     ):
@@ -807,16 +834,20 @@ class TestAxiomSuites:
     def test_unique_factorisation_enumerates_each_degree_once(
         self, ledrappier, ledrappier_sk, monkeypatch
     ):
+        # One frontier step per degree past (0, 0), ending at that degree,
+        # and one window filter per degree.
         import tilegraphs.checks as checks
+        import tilegraphs.graph as graph
 
-        calls = Counter()
-        real = checks._chain_columns
+        steps = Counter()
+        real = graph._chain_step
 
-        def counted(bd, sk, n, *args):
-            calls[n] += 1
-            return real(bd, sk, n, *args)
+        def counted(*args):
+            batch = real(*args)
+            steps[batch[0]] += 1
+            return batch
 
-        monkeypatch.setattr(checks, "_chain_columns", counted)
+        monkeypatch.setattr(graph, "_chain_step", counted)
         brute = Counter()
         real_brute = checks._window_filter
 
@@ -826,7 +857,8 @@ class TestAxiomSuites:
 
         monkeypatch.setattr(checks, "_window_filter", counted_brute)
         assert check_unique_factorisation(ledrappier, (2, 2), sk=ledrappier_sk).ok
-        assert calls == brute == Counter(box((0, 0), (2, 2)))
+        assert brute == Counter(box((0, 0), (2, 2)))
+        assert steps == brute - Counter([(0, 0)])
 
     def test_a_batch_raises_the_error_of_its_first_row_with_a_hole(
         self, ledrappier, ledrappier_sk
@@ -847,10 +879,16 @@ class TestAxiomSuites:
         slot = _layout(bd.tile, (0, 2)).slot
         rows[1][slot[1, 0]] = "x"
         rows[2][slot[1, 2]] = "y"
+        # Through compose, row 2's change is made in nu's range window too.
+        mu_x = _path(bd.tile, (0, 2), rows[1][:len(mu.labels)])
+        mu_y = _path(bd.tile, (0, 2), rows[2][:len(mu.labels)])
+        nu_y = _path(bd.tile, (1, 0), [
+            "y" if c == (1, 0) else s for c, s in nu.labels
+        ])
         with pytest.raises(MissingPattern, match="'x'"):
-            _run_plan(bd, plan, rows[1], ())
+            compose(bd, mu_x, nu)
         with pytest.raises(UnknownSymbol, match="'y'"):
-            _run_plan(bd, plan, rows[2], ())
+            compose(bd, mu_y, nu_y)
         columns = [list(c) for c in zip(*rows)]
         out = _compose_columns(bd, plan, columns)
         assert [None in lam for lam in zip(*out)] == [False, True, True]
@@ -1088,6 +1126,36 @@ def twin_chain_count(sk, v, n):
     for colour in ("blue",) * n[0] + ("red",) * n[1]:
         ends = [u for w in ends for u in sk.out_neighbours(colour, w)]
     return len(ends)
+
+
+def twin_walk(bd, roots, n, sk, limits, strict):
+    """The order twin: the symbols of the degree-``n`` paths from each root
+    in turn, in the slot order of ``T(n)``, depth first.  Each node's
+    children are composed with ``compose``, one edge path each, in out-list
+    order and pushed reversed on an explicit stack.  One cap check covers
+    all roots; a root's strict count runs before its first compose."""
+    expected = _checked_path_count(bd, n, len(roots), limits)
+    sk = sk if sk is not None else build_skeleton(bd, limits)
+    colours = ("blue",) * n[0] + ("red",) * n[1]
+    for v in roots:
+        if v not in sk.index:
+            raise ValidationError(f"range vertex {v.labels} is not a skeleton vertex")
+        if strict and twin_chain_count(sk, v, n) != expected:
+            raise InvariantViolation(
+                f"enumerated {twin_chain_count(sk, v, n)} paths of degree {n}, "
+                f"expected {expected}"
+            )
+        stack = [(Path.from_vertex(bd.tile, v), sk.index[v])]
+        while stack:
+            lam, src = stack.pop()
+            i = sum(lam.degree)
+            if i == len(colours):
+                yield tuple(s for _, s in lam.labels)
+                continue
+            stack.extend(reversed([
+                (compose(bd, lam, sk.edge_path(colours[i], src, u)), u)
+                for u in sk.out_neighbours(colours[i], src)
+            ]))
 
 
 def twin_brute_force_paths(bd, n, limits):
@@ -1833,15 +1901,26 @@ BASIC_DATA_INPUTS = sorted(
 
 @pytest.mark.parametrize("path", BASIC_DATA_INPUTS, ids=lambda path: path.stem)
 def test_the_chain_batch_is_the_walk(path):
-    # Each degree's edge chains, one batch extending the degree one edge
-    # below, are the walk's paths in the walk's order, with their sources.
+    # Each degree's edge chains, one frontier step from the degree one edge
+    # below, are the order twin's paths in its order, with their sources;
+    # so are the breadth-first enumerations and the witness search's walk,
+    # read to the end, from every root.
     bd = basic_data_from_dict(json.loads(path.read_text()))
-    sk, enumerated = build_skeleton(bd), {}
+    sk, limits = build_skeleton(bd), Limits()
+    symbols = [v.symbols for v in sk.vertices]
+    enumerated = {(0, 0): ([list(c) for c in zip(*symbols)], list(range(len(sk.vertices))))}
     for d in box((0, 0), (2, 2)):
-        columns, sources = enumerated[d] = _chain_columns(bd, sk, d, enumerated)
-        walk = list(_walk_paths(bd, sk.vertices, d, sk, Limits(), False))
+        if d != (0, 0):
+            base, colour = ((d[0], d[1] - 1), "red") if d[1] else ((d[0] - 1, 0), "blue")
+            cells = dict(zip(_layout(bd.tile, base).cells, enumerated[base][0]))
+            _, cells, sources = _chain_step(bd, sk, (base, cells, enumerated[base][1]), colour)
+            enumerated[d] = [cells[c] for c in _layout(bd.tile, d).cells], sources
+        columns, sources = enumerated[d]
+        walk = list(twin_walk(bd, sk.vertices, d, sk, limits, False))
         assert list(zip(*columns)) == walk
         assert sources == [sk.index[_path(bd.tile, d, lam).source_vertex] for lam in walk]
+        assert all_paths(bd, d, skeleton=sk) == [_path(bd.tile, d, lam) for lam in walk]
+        assert [lam for v in sk.vertices for lam in _chain_walk(bd, v, d, sk, limits)] == walk
 
 
 @pytest.mark.parametrize("path", BASIC_DATA_INPUTS, ids=lambda path: path.stem)
