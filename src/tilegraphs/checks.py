@@ -7,11 +7,12 @@ a breadth-first window filter, independent of edge-chain composition), so
 they also catch deliberately corrupted data that bypassed validation.
 
 Unique factorisation takes each degree's edge chains one frontier step
-from the degree one edge below, and composes each split as one column
-batch (:func:`tilegraphs.graph._compose_columns`); associativity composes
-each needed two-edge chain once, then each range vertex's triples in both
-orders.  A ``Path`` is built only for a counterexample, and rows are
-composed one by one only where a batch fails.
+from the degree one edge below, and composes each split as one batch of
+columns by cell, through the one composition executor
+:func:`tilegraphs.graph._join`; associativity composes each needed
+two-edge chain once, then each range vertex's triples in both orders.  A
+``Path`` is built only for a counterexample, and rows are composed one by
+one only where a batch fails.
 
 On commuting squares, counted per range vertex along the skeleton's
 out-lists: between an ordered vertex pair there is at most one
@@ -28,7 +29,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate, chain, compress, product, repeat
+from itertools import accumulate, chain, compress, product
 from typing import Any
 
 from .data import BasicData
@@ -41,14 +42,13 @@ from .graph import (
     Skeleton,
     _check_degree,
     _check_windows,
-    _compose_columns,
-    _compose_plan,
-    _compose_rows,
     _count_chains,
     _frontier,
+    _join,
     _layout,
     _path,
-    _slice,
+    _rows,
+    _spread,
     build_skeleton,
     compose,
     path_count,
@@ -215,19 +215,6 @@ def _check_split_count(bd: BasicData, degree: Point, vertices: int, limits: Limi
                "exceed the path cap of {cap}", n=degree)
 
 
-def _join(bd: BasicData, plan, left, right, rows, groups: list) -> list[list]:
-    """The composite columns of each row ``rows[i]`` of ``left`` with the rows
-    ``groups[i]`` of ``right``, in that order (operands given as columns).
-    ``right``'s columns on the shared window are not read, so not gathered."""
-    mus = list(chain.from_iterable(map(repeat, rows, map(len, groups))))
-    nus = list(chain.from_iterable(groups))
-    used = set(plan.gather)
-    columns = [list(map(c.__getitem__, mus)) for c in left]
-    columns += [list(map(c.__getitem__, nus)) if k in used else None
-                for k, c in enumerate(right, len(left))]
-    return _compose_columns(bd, plan, columns)
-
-
 def check_unique_factorisation(
     bd: BasicData,
     degree: Point,
@@ -250,24 +237,23 @@ def check_unique_factorisation(
     try:
         sk = sk if sk is not None else build_skeleton(bd, limits, check=False)
         _check_split_count(bd, degree, len(sk.vertices), limits)
-        # Per degree: its chains (columns and sources), and its row numbers
-        # by range window.  Box order reaches every degree below ``d`` before
-        # ``d``, so ``d - e`` and a split's operands are enumerated already.
-        columns = [list(c) for c in zip(*[v.symbols for v in sk.vertices])]
-        enumerated = {ORIGIN: (columns, list(map(sk.index.__getitem__, sk.vertices)))}
+        # Per degree: its chains (columns by cell, and sources), and its row
+        # numbers by range window.  Box order reaches every degree below ``d``
+        # before ``d``, so ``d - e`` and a split's operands are enumerated.
+        window, symbols = tile.sorted_points, map(list, zip(*[v.symbols for v in sk.vertices]))
+        enumerated = {ORIGIN: (dict(zip(window, symbols)), list(map(sk.index.get, sk.vertices)))}
         ranges: dict[Point, dict[tuple[str, ...], list[int]]] = {}
         for d in box(ORIGIN, degree):
-            if d != ORIGIN:  # one step from the degree one edge below
+            order = _layout(tile, d).cells
+            if d != ORIGIN:  # one step from the degree one edge below, on a copy
                 base = p_sub(d, (0, 1) if d[1] else (1, 0))
-                columns, sources = enumerated[base]
-                batch = (base, dict(zip(_layout(tile, base).cells, columns)), sources)
-                _, cells, sources = _frontier(bd, sk, batch, d)
-                enumerated[d] = [cells[c] for c in _layout(tile, d).cells], sources
-            columns = enumerated[d][0]
+                cells, sources = enumerated[base]
+                enumerated[d] = _frontier(bd, sk, (base, dict(cells), sources), d)[1:]
+            cells = enumerated[d][0]
             brute = _window_filter(bd, d, limits)
-            brute_set = set(zip(*brute))
-            if set(zip(*columns)) != brute_set:
-                chain_set = set(zip(*columns))
+            brute_set, brute_cells = set(zip(*brute)), dict(zip(order, brute))
+            if set(zip(*map(cells.__getitem__, order))) != brute_set:
+                chain_set = set(zip(*map(cells.__getitem__, order)))  # not kept past the test
                 # Labels of one degree share their cells, so they sort as
                 # their symbols do.
                 odd = min(chain_set ^ brute_set)
@@ -277,31 +263,30 @@ def check_unique_factorisation(
                     counterexample=_path(tile, d, odd).labels,
                 )
             by_range = ranges[d] = {}
-            window = _slice(tile, d, ORIGIN, ORIGIN)
-            for i, key in enumerate(zip(*[columns[k] for k in window])):
+            for i, key in enumerate(zip(*map(cells.__getitem__, window))):
                 by_range.setdefault(key, []).append(i)
             # Each split is two batches, each tested on its columns; a row
             # loop runs only to name the first bad row.
             for m in box(ORIGIN, d):
                 n = p_sub(d, m)
-                plan = _compose_plan(tile, m, n)
-                # (a): the columns of mu's slots, then nu's.
-                slots = _slice(tile, d, ORIGIN, m) + _slice(tile, d, m, n)
-                out = _compose_columns(bd, plan, [brute[k] for k in slots])
-                if out != brute:
-                    for lam, got in zip(zip(*brute), _compose_rows(bd, plan, out)):
+                # (a): each path's two slices, composed back in one batch.
+                mu = {c: brute_cells[c] for c in _layout(tile, m).cells}
+                nu = {c: brute_cells[p_add(c, m)] for c in _layout(tile, n).cells}
+                out = _join(bd, m, mu, n, nu, None, None)
+                if out != brute_cells:
+                    for lam, got in zip(zip(*brute), _rows(bd, m, n, out)):
                         if got != lam:
                             return fail(f"slice-and-compose failed at degree {d}, split {m}",
                                         counterexample=_path(tile, d, lam))
                 # (b), in (mu, nu) enumeration order: each mu meets the nu's
                 # whose range is its source, in their order.
-                mus = enumerated[m][0]
-                sources = zip(*[mus[k] for k in plan.mu_source])
-                groups = list(map(ranges[n].get, sources, repeat(())))
-                out = _join(bd, plan, mus, enumerated[n][0], range(len(groups)), groups)
-                if len(out[0]) != len(brute_set) or set(zip(*out)) != brute_set:
+                left = enumerated[m][0]
+                groups = [ranges[n].get(k, ()) for k in zip(*[left[p_add(c, m)] for c in window])]
+                out = _join(bd, m, left, n, enumerated[n][0], *_spread(range(len(groups)), groups))
+                if len(out[ORIGIN]) != len(brute_set) or (
+                        set(zip(*map(out.__getitem__, order))) != brute_set):
                     seen: set[tuple[str, ...]] = set()
-                    for lam in _compose_rows(bd, plan, out):
+                    for lam in _rows(bd, m, n, out):
                         if lam in seen:
                             return fail(f"two ({m}, {n}) factorisations of one path",
                                         counterexample=_path(tile, d, lam))
@@ -345,7 +330,6 @@ def check_associativity(
     Each triple is a path of total degree 3, so more triples than
     ``limits.max_paths`` raise :class:`SizeLimit` before any compose.
     """
-    tile = bd.tile
     try:
         sk = sk if sk is not None else build_skeleton(bd, limits, check=False)
         # Composable triples are the three-edge chains along the out-lists,
@@ -365,7 +349,7 @@ def check_associativity(
         # nu's head has out-edges or mu's tail in-edges.  Then each vertex's
         # range of rows, and each row's source.
         entered = set(chain.from_iterable(out))
-        pairs = {}
+        pairs, e = {}, {c: unit(COLOUR_AXIS[c]) for c in (BLUE, RED)}
         for a, b in product((BLUE, RED), repeat=2):
             (cols_a, heads_a, spans_a), (cols_b, heads_b, spans_b) = edges[a], edges[b]
             groups = [
@@ -373,12 +357,12 @@ def check_associativity(
                 for v in vertices
                 for mu in spans_a[v]
             ]
-            plan = _compose_plan(tile, unit(COLOUR_AXIS[a]), unit(COLOUR_AXIS[b]))
             starts = [0, *accumulate(map(len, groups))]
+            mus, nus = _spread(range(len(groups)), groups)
             pairs[a, b] = (
-                _join(bd, plan, cols_a, cols_b, range(len(groups)), groups),
+                _join(bd, e[a], cols_a, e[b], cols_b, mus, nus),
                 [range(starts[s.start], starts[s.stop]) for s in spans_a],
-                list(map(heads_b.__getitem__, chain.from_iterable(groups))),
+                list(map(heads_b.__getitem__, nus)),
             )
         # Per range vertex and colour triple, (mu nu) rho and mu (nu rho) as
         # two batches, equal and with no (falsy) hole, or the vertex's triples
@@ -387,13 +371,12 @@ def check_associativity(
         for v, (a, b, c) in product(vertices, product((BLUE, RED), repeat=3)):
             (cols_a, heads_a, spans_a), (cols_c, _, spans_c) = edges[a], edges[c]
             (ab, at_ab, sources), (bc, at_bc, _) = pairs[a, b], pairs[b, c]
-            ea, eb, ec = (unit(COLOUR_AXIS[x]) for x in (a, b, c))
             rows, mus = at_ab[v], spans_a[v]
-            plan = _compose_plan(tile, p_add(ea, eb), ec)
-            left = _join(bd, plan, ab, cols_c, rows, [spans_c[sources[i]] for i in rows])
-            plan = _compose_plan(tile, ea, p_add(eb, ec))
-            right = _join(bd, plan, cols_a, bc, mus, [at_bc[heads_a[mu]] for mu in mus])
-            if left != right or not all(map(all, left)):
+            left = _join(bd, p_add(e[a], e[b]), ab, e[c], cols_c,
+                         *_spread(rows, [spans_c[sources[i]] for i in rows]))
+            right = _join(bd, e[a], cols_a, p_add(e[b], e[c]), bc,
+                          *_spread(mus, [at_bc[heads_a[mu]] for mu in mus]))
+            if left != right or not all(map(all, left.values())):
                 triple = _first_disagreement(bd, sk, v)
                 if triple:
                     return CheckResult(

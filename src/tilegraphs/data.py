@@ -184,7 +184,8 @@ class BasicData:
     def _vertex_keys(self) -> frozenset[tuple[str, ...]]:
         """Each vertex's symbols at the reduced set, then its upper-left and
         bottom-right corners: the vertex test, read off ``f``'s rule."""
-        return frozenset((*k, s) for k, s in self._rules[True].items())
+        _, forward = self._rules
+        return frozenset((*k, s) for k, s in forward.items())
 
     def bad_window(
         self, labels: Mapping[Point, str], offsets: Iterable[Point]

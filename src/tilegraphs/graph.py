@@ -15,13 +15,13 @@ labels; this one makes the intermediate states easy to test.
 
 Inside the library a path of degree ``n`` is the tuple of its symbols in
 the slot order of ``T(n)``'s cached layout; a ``Path`` is built by
-:func:`_path` only where a public function returns one.  A composition
-follows a cached plan per pair of operand degrees, run as a column batch
-(:func:`_compose_columns`), and a slice is a cached slot list
-(:func:`_slice`).  Every path enumeration is one edge-chain extension,
-:func:`_chain_step`, which writes only the cells one more edge adds:
-breadth first over whole degrees, or, for the witness search, along the
-first path one edge at a time before the rest (:func:`_chain_walk`).
+:func:`_path` only where a public function returns one, and a slice is a
+cached slot list (:func:`_slice`).  Batches of paths are columns by cell,
+and one executor composes them all, :func:`_join`: ``compose``, every
+path enumeration's edge-chain step (:func:`_chain_step`, which writes only
+the cells one more edge adds) and the axiom checks' batches.  Enumerations
+run breadth first over whole degrees, or, for the witness search, along
+the first path one edge at a time before the rest (:func:`_chain_walk`).
 
 All values here are immutable; building and enumerating paths is pure.
 """
@@ -30,7 +30,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from itertools import accumulate, chain
+from operator import itemgetter
+from itertools import accumulate, chain, repeat
 from typing import Iterator, Mapping, Sequence
 
 from .data import (
@@ -255,16 +256,16 @@ class Skeleton:
         return self._edge_cache[key]
 
     def _edge_batch(self, colour: str) -> tuple:
-        """The ``colour`` edges in out-list order: one column of symbols per
-        slot of ``T(e)``, their heads, and each vertex's range of edge
+        """The ``colour`` edges in out-list order: their columns of symbols by
+        cell of ``T(e)``, their heads, and each vertex's range of edge
         numbers; built from :meth:`_edge_symbols` at first use and kept."""
         if colour not in self._edge_batches:
             rows, edge = self._out[colour], partial(self._edge_symbols, colour)
             symbols = [edge(v, u) for v, us in enumerate(rows) for u in us]
-            width = len(_layout(self.basic_data.tile, unit(_axis(colour))).cells)
+            cells = _layout(self.basic_data.tile, unit(_axis(colour))).cells
             ends = list(accumulate(map(len, rows)))
             self._edge_batches[colour] = (
-                [[s[k] for s in symbols] for k in range(width)],
+                {c: [s[k] for s in symbols] for k, c in enumerate(cells)},
                 list(chain.from_iterable(rows)), list(map(range, [0, *ends], ends)),
             )
         return self._edge_batches[colour]
@@ -335,20 +336,14 @@ def to_dot(sk: Skeleton) -> str:
 
 # -- corner filling ----------------------------------------------------------
 
-# A fill step is ``(target, pattern cells, key corner, forward)``: the target
-# is forced by ``f`` (forward) or ``f_inv`` from the window's reduced pattern
-# and its opposite corner.  Cells are points when filling a labelling and
-# slots in a compose plan.
-
-
 def _corner_step(tile: Tile, base: Point, forward: bool) -> tuple:
-    """The fill of the window at ``base``: forward, its bottom-right corner
-    from its pattern and upper-left corner; backward, the mirror image."""
-    target, key = tile.corner_br, tile.corner_ul
-    if not forward:
-        target, key = key, target
-    pattern = tuple(p_add(t, base) for t in tile.sorted_reduced)
-    return p_add(target, base), pattern, p_add(key, base), forward
+    """The fill ``(target, pattern cells, key corner, forward)`` of the window
+    at ``base``: forward, ``f`` forces its bottom-right corner from its
+    pattern and upper-left corner; backward, ``f_inv`` the mirror image."""
+    (tx, ty), (kx, ky) = (tile.corner_br, tile.corner_ul)[:: 1 if forward else -1]
+    x, y = base
+    pattern = tuple([(px + x, py + y) for px, py in tile.sorted_reduced])
+    return (tx + x, ty + y), pattern, (kx + x, ky + y), forward
 
 
 def _fills(tile: Tile, dmu: Point, total: Point) -> list[tuple]:
@@ -426,93 +421,83 @@ def _fill_corner(
 
 # -- composition and factorisation -------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class _ComposePlan:
-    """The composition of a degree-``dmu`` path with a degree-``dnu`` one,
-    in slots of the operands' layouts and of ``T(dmu + dnu)``.
-
-    The operands share exactly the window at ``dmu`` (``mu_source`` and
-    ``nu_range`` hold its slots in each).  ``gather`` gives, for each result
-    slot an operand labels, its index in the operands' symbols laid end to
-    end (``mu`` first), or one past both: the distinguished symbol, which
-    the ``steps`` overwrite in order on any tile but the one cell.
-    """
-
-    mu_source: tuple[int, ...]
-    nu_range: tuple[int, ...]
-    total: Point
-    gather: tuple[int, ...]
-    steps: tuple[tuple, ...]
-
-
 @lru_cache(maxsize=256)
-def _compose_plan(tile: Tile, dmu: Point, dnu: Point) -> _ComposePlan:
-    """Lay out a composition once per ``(tile, dmu, dnu)``.  Every window of
-    :func:`_fills` must be complete when its turn comes and the result must
-    cover ``T(dmu + dnu)``: geometry alone, checked here, not on every call."""
+def _geometry(tile: Tile, dmu: Point, dnu: Point) -> tuple:
+    """What composing degree ``dmu`` with ``dnu`` writes: the cells of
+    ``T(dnu)`` outside ``T`` with their places ``dmu`` on, the fills and the
+    total degree, checked once per ``(tile, dmu, dnu)`` with no layout of
+    ``T(dmu)``, as on a hereditary tile ``p`` is in ``T(n)`` iff ``p >= 0``
+    and ``p`` moved back by at most ``n`` is in ``T``, and ``|T(n)|`` is
+    ``|T| + n1 (c2 + 1) + n2 (c1 + 1) + n1 n2``."""
     total = p_add(dmu, dnu)
-    lmu, lnu, out = _layout(tile, dmu), _layout(tile, dnu), _layout(tile, total)
-    past = len(lmu.cells) + len(lnu.cells)
-    gather = [past] * len(out.cells)
-    for i, c in enumerate(lmu.cells):
-        gather[out.slot[c]] = i
-    for j, c in enumerate(lnu.cells):
-        k = out.slot[p_add(c, dmu)]
-        if gather[k] == past:
-            gather[k] = len(lmu.cells) + j
-        elif c not in tile.points:
-            # Outside nu's range window: the window test would not cover it.
-            raise InvariantViolation(
-                f"operands of degrees {dmu} and {dnu} share {p_add(c, dmu)}, "
-                f"outside the window at {dmu}"
-            )
-    steps = []
-    if not tile.degenerate:
-        steps = _fills(tile, dmu, total)
-        have = {out.cells[k] for k, g in enumerate(gather) if g < past}
-        for cell, pattern, key, forward in steps:
-            missing = {*pattern, key} - have
-            if missing:
-                base = p_sub(key, tile.corner_ul if forward else tile.corner_br)
-                raise InvariantViolation(
-                    f"cannot fill {cell}: window at {base} is missing {sorted(missing)}"
-                )
-            have.add(cell)
-        if have != set(out.cells):
-            raise InvariantViolation(
-                "corner filling did not produce the full translate union"
-            )
-        steps = [
-            (out.slot[t], tuple(out.slot[p] for p in pattern), out.slot[key], fwd)
-            for t, pattern, key, fwd in steps
-        ]
-    return _ComposePlan(
-        _slice(tile, dmu, dmu, ORIGIN), _slice(tile, dnu, ORIGIN, ORIGIN), total,
-        tuple(gather), tuple(steps),
-    )
+
+    def within(p: Point, n: Point) -> bool:
+        (x, y), (a, b) = p, n
+        return x >= 0 <= y and (x - a if x > a else 0, y - b if y > b else 0) in tile.points
+
+    moved = [(c, p_add(c, dmu)) for c in _layout(tile, dnu).cells if c not in tile.points]
+    shared = next((p for _, p in moved if within(p, dmu)), None)
+    if shared is not None:  # outside nu's range window: the window test would not cover it
+        raise InvariantViolation(f"operands of degrees {dmu} and {dnu} share {shared}, "
+                                 f"outside the window at {dmu}")
+    fills, have = _fills(tile, dmu, total), {p for _, p in moved}  # beyond T(dmu)
+    for cell, pattern, key, forward in fills:
+        missing = {p for p in (*pattern, key) if p not in have and not within(p, dmu)}
+        if missing and not tile.degenerate:
+            base = p_sub(key, tile.corner_ul if forward else tile.corner_br)
+            raise InvariantViolation(f"cannot fill {cell}: window at {base} is missing "
+                                     f"{sorted(missing)}")
+        have.add(cell)
+    outside = [p for p in have if not within(p, dmu)]
+    size = [len(tile) + x * (tile.c2 + 1) + y * (tile.c1 + 1) + x * y for x, y in (dmu, total)]
+    if size[0] + len(outside) != size[1] or not all(within(p, total) for p in outside):
+        raise InvariantViolation("corner filling did not produce the full translate union")
+    return moved, fills, total
 
 
-def _compose_columns(bd, plan, columns) -> list[list]:
-    """The composites, one column per slot, of operands given column by
-    column (``mu``'s slots, then ``nu``'s, ``None`` where ``plan.gather``
-    never reads; their windows at ``dmu`` match).  Each step is one pass
-    through ``bd._rules``; a missing entry leaves a hole (``None``) that
-    later steps keep, and :func:`_compose_rows` raises its error."""
-    pad = [bd.distinguished] * len(columns[0]) if columns else []
-    out = [columns[g] if g < len(columns) else pad for g in plan.gather]
-    for target, pattern, key, forward in plan.steps:
-        rule = bd._rules[forward].get
-        out[target] = list(map(rule, zip(*[out[k] for k in pattern], out[key])))
+def _spread(rows, groups) -> tuple[list[int], list[int]]:
+    """``rows[i]`` once per member of ``groups[i]``, then those members: the
+    ``mus`` and ``nus`` that :func:`_join` each row with its group."""
+    mus = list(chain.from_iterable(map(repeat, rows, map(len, groups))))
+    return mus, list(chain.from_iterable(groups))
+
+
+def _join(bd: BasicData, dmu: Point, left, dnu: Point, right, mus, nus) -> dict:
+    """Row ``mus[k]`` of ``left`` composed with row ``nus[k]`` of ``right``
+    for each ``k``, as columns by cell; ``None`` takes each row as it is,
+    reusing ``left``'s dict or ``right``'s columns.  ``right``'s window at
+    the origin (``left``'s at ``dmu``) is not read; its other cells move by
+    ``dmu``.  Each fill is one pass through ``bd._rules``: a miss leaves a
+    hole (``None``) that later fills keep, and :func:`_replay` raises it."""
+    moved, fills, _ = _geometry(bd.tile, dmu, dnu)
+    take = mus is not None and (  # itemgetter returns a tuple for two or more rows
+        itemgetter(*mus) if len(mus) > 1 else lambda col: [col[k] for k in mus])
+    out = {c: list(take(col)) for c, col in left.items()} if take else left
+    for c, p in moved:
+        out[p] = right[c] if nus is None else list(map(right[c].__getitem__, nus))
+    for target, pattern, key, forward in fills:
+        out[target] = [bd.distinguished] * len(out[ORIGIN]) if bd.tile.degenerate else list(
+            map(bd._rules[forward].get, zip(*map(out.__getitem__, pattern), out[key]))
+        )
     return out
 
 
-def _compose_rows(bd, plan, out) -> Iterator[tuple[str, ...]]:
-    """The rows of ``out``, composite columns of operands without holes.  At
-    the first row with a hole, the first step that left one runs again on
-    its own and raises, so errors come as from a row-by-row loop."""
-    for lam in zip(*out):
+def _replay(bd: BasicData, fills, out) -> None:
+    """Raise the error of the first row of :func:`_join`'s columns ``out``
+    with a hole, if any: its first fill that left one runs again alone."""
+    holes = [out[s[0]].index(None) for s in fills if None in out[s[0]]]
+    if holes:
+        values = {c: column[min(holes)] for c, column in out.items()}
+        _forced_symbol(bd, values, next(s for s in fills if values[s[0]] is None))
+
+
+def _rows(bd: BasicData, dmu: Point, dnu: Point, out) -> Iterator[tuple[str, ...]]:
+    """The rows of :func:`_join`'s columns ``out`` in ``T(dmu + dnu)``'s slot
+    order; at the first with a hole, its error, as from a row-by-row loop."""
+    _, fills, total = _geometry(bd.tile, dmu, dnu)
+    for lam in zip(*map(out.__getitem__, _layout(bd.tile, total).cells)):
         if None in lam:
-            _forced_symbol(bd, lam, next(s for s in plan.steps if lam[s[0]] is None))
+            _replay(bd, fills, out)
         yield lam
 
 
@@ -529,15 +514,15 @@ def compose(bd: BasicData, mu: Path, nu: Path) -> Path:
     """
     if mu.tile != bd.tile or nu.tile != bd.tile:
         raise ValidationError("cannot compose: both paths must be on the data's tile")
-    plan = _compose_plan(bd.tile, mu.degree, nu.degree)
-    a, b = _symbols(mu), _symbols(nu)
-    if [a[k] for k in plan.mu_source] != [b[k] for k in plan.nu_range]:
+    a, b = ({c: [s] for c, s in zip(_layout(bd.tile, p.degree).cells, _symbols(p))}
+            for p in (mu, nu))
+    if any(a[p_add(c, mu.degree)] != b[c] for c in bd.tile.sorted_points):
         raise SourceRangeMismatch(
             "cannot compose: source window of the first path differs from "
             "the range window of the second"
         )
-    (lam,) = _compose_rows(bd, plan, _compose_columns(bd, plan, [[s] for s in a + b]))
-    return _path(bd.tile, plan.total, lam)
+    (lam,) = _rows(bd, mu.degree, nu.degree, _join(bd, mu.degree, a, nu.degree, b, None, None))
+    return _path(bd.tile, p_add(mu.degree, nu.degree), lam)
 
 
 @lru_cache(maxsize=256)
@@ -636,48 +621,26 @@ def _count_chains(counts, tables) -> dict[int, int]:
     return counts
 
 
-@lru_cache(maxsize=256)
-def _step_geometry(tile: Tile, d: Point, colour: str) -> tuple:
-    """What a ``colour`` step from degree ``d`` writes: each slot of the edge
-    whose cell lies outside ``T``, with that cell moved by ``d``, then the
-    fills; and the degree it reaches.  Cached: the walks of one witness
-    search take the same steps from many roots."""
-    e = unit(COLOUR_AXIS[colour])
-    cells = enumerate(_layout(tile, e).cells)
-    added = [(k, p_add(c, d)) for k, c in cells if c not in tile]
-    return added, _fills(tile, d, p_add(d, e)), p_add(d, e)
-
-
-def _chain_step(bd: BasicData, sk: Skeleton, batch, colour: str, first: bool = False):
+def _chain_step(bd, sk, batch, colour: str, children: slice | None = None) -> tuple:
     """A batch ``(d, cells, sources)`` of edge chains (their degree, each
-    cell's column of symbols and each row's source) extended by each
-    ``colour`` edge out of each source (``first``: the first alone), in
-    out-list order, reusing the dict.
-    Only the cells of ``T(d + e)`` outside ``T(d)`` are written: the edge's
-    own, then :func:`_fills`' cells, one pass through ``bd._rules`` each (in
-    chain order a red step from ``(d1, d2)`` fills ``d1``, a blue step none).
-    The first row with a hole raises its first fill's error, in row order."""
-    tile, (d, cells, sources) = bd.tile, batch
+    cell's column of symbols and each row's source) extended, reusing the
+    dict, by each source's ``colour`` edges in out-list order (the slice
+    ``children`` of them, if given): one :func:`_join` with the skeleton's
+    edge batch, which writes only the cells of ``T(d + e)`` outside ``T(d)``
+    (in chain order a red step from ``(d1, d2)`` fills ``d1``, a blue step
+    none).  The first row with a hole raises its error."""
+    d, cells, sources = batch
     columns, heads, spans = sk._edge_batch(colour)
-    groups = [g[:1] if first else g for g in map(spans.__getitem__, sources)]
+    groups = list(map(spans.__getitem__, sources))
+    groups = [g[children] for g in groups] if children else groups
     edges = list(chain.from_iterable(groups))
-    if len(edges) != len(sources) or not all(groups):  # else row i extends row i
-        take = [r for r, g in enumerate(groups) for _ in g]
-        rows = list(zip(*cells.values()))  # re-indexed as rows: one gather for all cells
-        rows = list(map(rows.__getitem__, take))
-        cells = dict(zip(cells, map(list, zip(*rows)))) if rows else dict.fromkeys(cells, [])
-    added, steps, d = _step_geometry(tile, d, colour)
-    for k, c in added:
-        cells[c] = list(map(columns[k].__getitem__, edges))
-    for target, pattern, key, forward in steps:
-        cells[target] = [bd.distinguished] * len(edges) if tile.degenerate else list(
-            map(bd._rules[forward].get, zip(*map(cells.__getitem__, pattern), cells[key]))
-        )
-    holes = [cells[s[0]].index(None) for s in steps if None in cells[s[0]]]
-    if holes:
-        values = {c: column[min(holes)] for c, column in cells.items()}
-        _forced_symbol(bd, values, next(s for s in steps if values[s[0]] is None))
-    return d, cells, list(map(heads.__getitem__, edges))
+    one = len(edges) == len(sources) and all(groups)  # row i extends row i
+    mus = None if one else _spread(range(len(groups)), groups)[0]
+    e = unit(COLOUR_AXIS[colour])
+    out = _join(bd, d, cells, e, columns, mus, edges)
+    _, fills, total = _geometry(bd.tile, d, e)
+    _replay(bd, fills, out)
+    return total, out, list(map(heads.__getitem__, edges))
 
 
 def _frontier(bd: BasicData, sk: Skeleton, batch, n: Point):
@@ -733,12 +696,10 @@ def _chain_walk(bd, v, n, skeleton, limits) -> Iterator[tuple[str, ...]]:
         colour = BLUE if batch[0][0] < n[0] else RED
         if len(sk._out[colour][batch[2][0]]) > 1:  # a copy: the step reuses the dict
             kept.append(((batch[0], dict(batch[1]), batch[2]), colour))
-        batch = _chain_step(bd, sk, batch, colour, first=True)
+        batch = _chain_step(bd, sk, batch, colour, slice(1))
     while True:
         if batch[0] == n:
             yield from zip(*map(batch[1].__getitem__, order))
         if not kept:
             return
-        d, cells, sources = _chain_step(bd, sk, *kept.pop())  # row 0 is walked already
-        rest = (d, {c: column[1:] for c, column in cells.items()}, sources[1:])
-        batch = _frontier(bd, sk, rest, n)
+        batch = _frontier(bd, sk, _chain_step(bd, sk, *kept.pop(), slice(1, None)), n)

@@ -100,7 +100,7 @@ class Tile:
     c2: int
     reduced: frozenset[Point]
     degenerate: bool
-    sorted_points: tuple[Point, ...] = field(repr=False)
+    sorted_points: tuple[Point, ...] = field(repr=False, compare=False)
     sorted_reduced: tuple[Point, ...] = field(repr=False, compare=False)
 
     @property

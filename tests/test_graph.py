@@ -59,13 +59,13 @@ from tilegraphs.graph import (
     _chain_step,
     _chain_walk,
     _checked_path_count,
-    _compose_columns,
-    _compose_plan,
-    _compose_rows,
     _count_chains,
+    _geometry,
+    _join,
     _layout,
     _pairwise_edges,
     _path,
+    _rows,
 )
 from tilegraphs.lattice import box, contained_translates, p_add, p_leq
 from tilegraphs.shifts import WindowConfig, entropy_sequence
@@ -439,7 +439,7 @@ class TestCompose:
             compose(ledrappier, mu, nu)
 
     def test_paths_of_another_tile_are_rejected(self, ledrappier, ledrappier_sk, square_sk):
-        # The plan is built for the data's tile: an operand on the square's
+        # The fills are those of the data's tile: an operand on the square's
         # tile is refused in either position, while an equal tile parsed
         # separately composes.
         mu = square_sk.edge_path("blue", 0, 0)
@@ -486,6 +486,60 @@ class TestCompose:
         lam = compose(bd, p, p)
         assert lam.degree == (4, 2)
         assert set(lam.as_dict().values()) == {"1"}
+
+    # The three geometry refusals, each reached by a patched part of the
+    # geometry; no real tile reaches them.  The cache is emptied around each,
+    # so no patched geometry is read or kept.
+
+    @pytest.fixture
+    def patched(self, monkeypatch):
+        import tilegraphs.graph as graph
+
+        _geometry.cache_clear()
+        yield lambda name, wrap: monkeypatch.setattr(graph, name, wrap(getattr(graph, name)))
+        _geometry.cache_clear()
+
+    def split(self, bd, sk, dmu, dnu):
+        mu = enumerate_paths(bd, sk.vertices[0], dmu, skeleton=sk)[0]
+        return mu, enumerate_paths(bd, mu.source_vertex, dnu, skeleton=sk)[0]
+
+    def test_a_fill_whose_window_is_incomplete_is_refused(
+        self, ledrappier, ledrappier_sk, patched
+    ):
+        # (0, 2) then (2, 0) fills the bottom-right rectangle column by
+        # column; in reverse the fill of (3, 0) comes first, before the cells
+        # (2, 0) and (2, 1) of its window are filled.
+        patched("_fills", lambda real: lambda *args: real(*args)[::-1])
+        with pytest.raises(InvariantViolation) as err:
+            compose(ledrappier, *self.split(ledrappier, ledrappier_sk, (0, 2), (2, 0)))
+        assert str(err.value) == (
+            "cannot fill (3, 0): window at (2, 0) is missing [(2, 0), (2, 1)]"
+        )
+
+    def test_a_result_short_of_the_translate_union_is_refused(
+        self, ledrappier, ledrappier_sk, patched
+    ):
+        # Without its last fill, the composite would miss the cell (2, 0).
+        patched("_fills", lambda real: lambda *args: real(*args)[:-1])
+        with pytest.raises(InvariantViolation) as err:
+            compose(ledrappier, *self.split(ledrappier, ledrappier_sk, (0, 2), (1, 0)))
+        assert str(err.value) == "corner filling did not produce the full translate union"
+
+    def test_an_operand_cell_outside_the_shared_window_is_refused(self, ledrappier, patched):
+        # A cell of nu left of the origin would land on mu's cell (0, 0),
+        # which the window test at (1, 0) does not cover.
+        def stray(real):
+            def layout(tile, n):  # T(1, 0) with a cell left of the origin
+                found = real(tile, n)
+                return found if n != (1, 0) else type(found)(((-1, 0), *found.cells), {})
+            return layout
+
+        patched("_layout", stray)
+        with pytest.raises(InvariantViolation) as err:
+            _geometry(ledrappier.tile, (1, 0), (1, 0))
+        assert str(err.value) == (
+            "operands of degrees (1, 0) and (1, 0) share (0, 0), outside the window at (1, 0)"
+        )
 
 
 class TestFactorize:
@@ -616,9 +670,10 @@ class TestEnumeratePaths:
         assert flat.is_vertex(lam.source_vertex)
 
     def test_deep_walks_build_no_layout_or_plan_per_step(self, flat):
-        # Each walk, on a fresh skeleton, builds the layouts of a few degrees
-        # and no compose plan, at (750, 0) as at (1500, 0): a layout or a
-        # plan per prefix degree would make a walk quadratic in its depth.
+        # Each walk, on a fresh skeleton, builds the layouts of a few degrees,
+        # at (750, 0) as at (1500, 0), though it decides one step geometry
+        # per prefix degree: a layout per prefix degree, in a step or in its
+        # geometry, would make a walk quadratic in its depth.
         from tilegraphs.graph import _slice
 
         tripod = validate_basic_data(TRIPOD, ["a"], {"a": ["a"]})
@@ -631,16 +686,20 @@ class TestEnumeratePaths:
                 )),
             ):
                 sk = build_skeleton(bd)
-                for cache in (_layout, _compose_plan, _slice):
+                for cache in (_layout, _geometry, _slice):
                     cache.cache_clear()
                 walk(sk)
                 misses[k, name] = (
-                    _layout.cache_info().misses, _compose_plan.cache_info().misses
+                    _layout.cache_info().misses, _geometry.cache_info().misses
                 )
         # The layouts: T(0) and T(e1) for the edges, T(k, 0) for the paths,
         # and the witness slices' T(k, 0) besides the tripod's T(k + 1, 0).
-        want = {"enumerate": (3, 0), "witness": (4, 0)}
-        assert misses == {(k, name): want[name] for k in (750, 1500) for name in want}
+        # The geometries: one per blue step, k of them, or k + 1.
+        want = {"enumerate": (3, 0), "witness": (4, 1)}
+        assert misses == {
+            (k, name): (layouts, k + steps)
+            for k in (750, 1500) for name, (layouts, steps) in want.items()
+        }
 
     def test_brute_force_backtracks_deeper_than_the_recursion_limit(
         self, flat, flat_sk
@@ -657,7 +716,7 @@ class TestEnumeratePaths:
     ):
         # One path per range vertex at every blue degree of the flat tile,
         # so the path count never refuses: the windows, (n1 + 1)(n2 + 1),
-        # are refused before any region, layout or plan is built.
+        # are refused before any region, layout or geometry is built.
         v = flat_sk.vertices[0]
         call = {
             "enumerate_paths": lambda n, lim: enumerate_paths(flat, v, n, flat_sk, lim),
@@ -869,9 +928,7 @@ class TestAxiomSuites:
         # cell: the batch meets row 2's hole first, but must raise row 1's
         # error, as a loop over the rows does.
         bd, sk = ledrappier, ledrappier_sk
-        plan = _compose_plan(bd.tile, (0, 2), (1, 0))
-        cells = _layout(bd.tile, (1, 2)).cells
-        assert [cells[step[0]] for step in plan.steps] == [(2, 1), (2, 0)]
+        assert [fill[0] for fill in _geometry(bd.tile, (0, 2), (1, 0))[1]] == [(2, 1), (2, 0)]
         mu = enumerate_paths(bd, sk.vertices[0], (0, 2), skeleton=sk)[0]
         nu = enumerate_paths(bd, mu.source_vertex, (1, 0), skeleton=sk)[0]
         row = [s for _, s in mu.labels + nu.labels]
@@ -889,10 +946,14 @@ class TestAxiomSuites:
             compose(bd, mu_x, nu)
         with pytest.raises(UnknownSymbol, match="'y'"):
             compose(bd, mu_y, nu_y)
+        # The operands as columns by cell; the batch reads row k of each.
         columns = [list(c) for c in zip(*rows)]
-        out = _compose_columns(bd, plan, columns)
-        assert [None in lam for lam in zip(*out)] == [False, True, True]
-        batch = _compose_rows(bd, plan, out)
+        left = dict(zip(mu.as_dict(), columns))
+        right = dict(zip(nu.as_dict(), columns[len(mu.labels):]))
+        out = _join(bd, (0, 2), left, (1, 0), right, [0, 1, 2], [0, 1, 2])
+        cells = _layout(bd.tile, (1, 2)).cells
+        assert [None in lam for lam in zip(*map(out.__getitem__, cells))] == [False, True, True]
+        batch = _rows(bd, (0, 2), (1, 0), out)
         assert next(batch) == tuple(s for _, s in compose(bd, mu, nu).labels)
         with pytest.raises(MissingPattern) as err:
             next(batch)
@@ -921,13 +982,13 @@ class TestAxiomSuites:
         triples = [(a, b, c) for a, b in chains for c in edges if b[2] == c[1]]
         needed = {t[:2] for t in triples} | {t[1:] for t in triples}
         runs = Counter()
-        real = checks._compose_columns
+        real = checks._join
 
-        def counted(bd, plan, columns):
-            runs["rows"] += len(columns[0]) if columns else 0
-            return real(bd, plan, columns)
+        def counted(bd, dmu, left, dnu, right, mus, nus):
+            runs["rows"] += len(mus)
+            return real(bd, dmu, left, dnu, right, mus, nus)
 
-        monkeypatch.setattr(checks, "_compose_columns", counted)
+        monkeypatch.setattr(checks, "_join", counted)
         assert check_associativity(ledrappier, sk=sk).ok
         assert runs["rows"] == 2 * len(triples) + len(needed)
         if dead is None:
@@ -1028,8 +1089,8 @@ def test_translate_union_matches_path_domain(ledrappier, ledrappier_sk):
 #
 # Dict-based composition, slicing, windows and enumeration, written straight
 # from the definitions: every call rebuilds its labelling and the translate
-# union.  The library composes from cached per-(tile, degree) layouts and fill
-# plans; it must give the same labels and raise the same errors.
+# union.  The library composes from cached per-(tile, degree) layouts and
+# geometries; it must give the same labels and raise the same errors.
 
 
 def twin_window(lam, m):
@@ -1629,8 +1690,8 @@ def test_only_the_matrix_imports_numpy(square_sk):
 #
 # The checks as first written: every path is a ``Path``, sliced by
 # ``factorize``, joined by the public ``compose`` and bucketed by its range
-# ``Vertex``.  The library runs the same loops over symbol tuples and the
-# cached compose plans, and must return the same results.
+# ``Vertex``.  The library runs the same loops over batches of columns by
+# cell, composed by ``graph._join``, and must return the same results.
 
 
 def split_count(bd, degree, vertices):
@@ -1900,6 +1961,20 @@ BASIC_DATA_INPUTS = sorted(
 
 
 @pytest.mark.parametrize("path", BASIC_DATA_INPUTS, ids=lambda path: path.stem)
+def test_each_geometry_writes_the_rest_of_its_translate_union(path):
+    # The cell test and the cell count read off the tile agree with the
+    # translate union: composing any degree up to (2, 2) with another one
+    # writes each cell of T(dmu + dnu) outside T(dmu) once.
+    tile = basic_data_from_dict(json.loads(path.read_text())).tile
+    for dmu in box((0, 0), (2, 2)):
+        for dnu in box((0, 0), (2, 2)):
+            moved, fills, total = _geometry(tile, dmu, dnu)
+            written = [p for _, p in moved] + [fill[0] for fill in fills]
+            rest = translate_union(tile, total).points - translate_union(tile, dmu).points
+            assert total == p_add(dmu, dnu) and sorted(written) == sorted(rest)
+
+
+@pytest.mark.parametrize("path", BASIC_DATA_INPUTS, ids=lambda path: path.stem)
 def test_the_chain_batch_is_the_walk(path):
     # Each degree's edge chains, one frontier step from the degree one edge
     # below, are the order twin's paths in its order, with their sources;
@@ -1926,7 +2001,7 @@ def test_the_chain_batch_is_the_walk(path):
 @pytest.mark.parametrize("path", BASIC_DATA_INPUTS, ids=lambda path: path.stem)
 class TestTransposedData:
     """Swapping the axes swaps the colours and turns each forward fill into
-    an inverse one, so the transposed table drives the compose plans'
+    an inverse one, so the transposed table drives the compositions'
     ``f_inv`` steps where the original drives their ``f`` steps."""
 
     def test_transposing_twice_gives_the_table_back(self, path):
