@@ -44,6 +44,7 @@ from .graph import (
     _check_windows,
     _count_chains,
     _frontier,
+    _geometry,
     _join,
     _layout,
     _path,
@@ -269,12 +270,13 @@ def check_unique_factorisation(
             # loop runs only to name the first bad row.
             for m in box(ORIGIN, d):
                 n = p_sub(d, m)
+                geometry = _geometry(tile, m, n)
                 # (a): each path's two slices, composed back in one batch.
                 mu = {c: brute_cells[c] for c in _layout(tile, m).cells}
                 nu = {c: brute_cells[p_add(c, m)] for c in _layout(tile, n).cells}
-                out = _join(bd, m, mu, n, nu, None, None)
+                out = _join(bd, geometry, mu, nu, None, None)
                 if out != brute_cells:
-                    for lam, got in zip(zip(*brute), _rows(bd, m, n, out)):
+                    for lam, got in zip(zip(*brute), _rows(bd, geometry, out)):
                         if got != lam:
                             return fail(f"slice-and-compose failed at degree {d}, split {m}",
                                         counterexample=_path(tile, d, lam))
@@ -282,11 +284,12 @@ def check_unique_factorisation(
                 # whose range is its source, in their order.
                 left = enumerated[m][0]
                 groups = [ranges[n].get(k, ()) for k in zip(*[left[p_add(c, m)] for c in window])]
-                out = _join(bd, m, left, n, enumerated[n][0], *_spread(range(len(groups)), groups))
+                out = _join(bd, geometry, left, enumerated[n][0],
+                            *_spread(range(len(groups)), groups))
                 if len(out[ORIGIN]) != len(brute_set) or (
                         set(zip(*map(out.__getitem__, order))) != brute_set):
                     seen: set[tuple[str, ...]] = set()
-                    for lam in _rows(bd, m, n, out):
+                    for lam in _rows(bd, geometry, out):
                         if lam in seen:
                             return fail(f"two ({m}, {n}) factorisations of one path",
                                         counterexample=_path(tile, d, lam))
@@ -340,11 +343,7 @@ def check_associativity(
         count = sum(chains.values())
         msg = "associativity: {size} composable edge triples exceed the path cap of {cap}"
         _check_cap(count, limits.max_paths, msg)
-        for v in vertices:  # every edge is read, vertex by vertex, before any compose
-            for c in (BLUE, RED):
-                for u in sk._out[c][v]:
-                    sk._edge_symbols(c, v, u)
-        edges = {c: sk._edge_batch(c) for c in (BLUE, RED)}
+        edges = {c: sk._edge_batch(c) for c in (BLUE, RED)}  # every edge, before any compose
         # Per colour pair, one batch of the chains (mu, nu) in some triple:
         # nu's head has out-edges or mu's tail in-edges.  Then each vertex's
         # range of rows, and each row's source.
@@ -360,7 +359,7 @@ def check_associativity(
             starts = [0, *accumulate(map(len, groups))]
             mus, nus = _spread(range(len(groups)), groups)
             pairs[a, b] = (
-                _join(bd, e[a], cols_a, e[b], cols_b, mus, nus),
+                _join(bd, _geometry(bd.tile, e[a], e[b]), cols_a, cols_b, mus, nus),
                 [range(starts[s.start], starts[s.stop]) for s in spans_a],
                 list(map(heads_b.__getitem__, nus)),
             )
@@ -372,9 +371,9 @@ def check_associativity(
             (cols_a, heads_a, spans_a), (cols_c, _, spans_c) = edges[a], edges[c]
             (ab, at_ab, sources), (bc, at_bc, _) = pairs[a, b], pairs[b, c]
             rows, mus = at_ab[v], spans_a[v]
-            left = _join(bd, p_add(e[a], e[b]), ab, e[c], cols_c,
+            left = _join(bd, _geometry(bd.tile, p_add(e[a], e[b]), e[c]), ab, cols_c,
                          *_spread(rows, [spans_c[sources[i]] for i in rows]))
-            right = _join(bd, e[a], cols_a, p_add(e[b], e[c]), bc,
+            right = _join(bd, _geometry(bd.tile, e[a], p_add(e[b], e[c])), cols_a, bc,
                           *_spread(mus, [at_bc[heads_a[mu]] for mu in mus]))
             if left != right or not all(map(all, left.values())):
                 triple = _first_disagreement(bd, sk, v)

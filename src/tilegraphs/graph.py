@@ -10,8 +10,8 @@ for ``e2``.
 Composition of paths with matching source and range is total and unique: the
 two rectangular regions left uncovered by the operands are filled one corner
 cell at a time, each cell forced by the single tile window it completes, in
-the order :func:`_fills` gives.  Any consistent order would give the same
-labels; this one makes the intermediate states easy to test.
+the order :func:`_fills` gives; :func:`_geometry` adds the cells the second
+operand moves, and checks nothing (its test is its oracle).
 
 Inside the library a path of degree ``n`` is the tuple of its symbols in
 the slot order of ``T(n)``'s cached layout; a ``Path`` is built by
@@ -19,9 +19,11 @@ the slot order of ``T(n)``'s cached layout; a ``Path`` is built by
 cached slot list (:func:`_slice`).  Batches of paths are columns by cell,
 and one executor composes them all, :func:`_join`: ``compose``, every
 path enumeration's edge-chain step (:func:`_chain_step`, which writes only
-the cells one more edge adds) and the axiom checks' batches.  Enumerations
-run breadth first over whole degrees, or, for the witness search, along
-the first path one edge at a time before the rest (:func:`_chain_walk`).
+the cells one more edge adds, with the skeleton's one edge table per
+colour, gathered from its vertices) and the axiom checks' batches.
+Enumerations run breadth first over whole degrees, or, for the witness
+search, along the first path one edge at a time before the rest
+(:func:`_chain_walk`).
 
 All values here are immutable; building and enumerating paths is pure.
 """
@@ -29,9 +31,9 @@ All values here are immutable; building and enumerating paths is pure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
-from operator import itemgetter
-from itertools import accumulate, chain, repeat
+from functools import lru_cache
+from operator import itemgetter, ne
+from itertools import accumulate, chain, compress, count, repeat
 from typing import Iterator, Mapping, Sequence
 
 from .data import (
@@ -200,7 +202,6 @@ class Skeleton:
 
     def __post_init__(self):
         n = len(self.vertices)
-        self._edge_cache: dict[tuple[str, int, int], tuple[str, ...]] = {}
         self._edge_batches: dict[str, tuple] = {}  # by colour
         out = self._out = {}
         for colour in (BLUE, RED):
@@ -237,37 +238,32 @@ class Skeleton:
         e = unit(_axis(colour))
         if not (0 <= v < len(self.vertices) and u in self._out[colour][v]):
             raise ValidationError(f"({v}, {u}) is not a {colour} edge of the skeleton")
-        return _path(self.basic_data.tile, e, self._edge_symbols(colour, v, u))
-
-    def _edge_symbols(self, colour: str, v: int, u: int) -> tuple[str, ...]:
-        """The symbols of the edge ``v -> u`` in the slot order of ``T(e)``:
-        ``v``'s in the window at the origin, ``u``'s in the one at ``e``.
-        Derived at first use and cached on the skeleton."""
-        key = (colour, v, u)
-        if key not in self._edge_cache:
-            tile, e = self.basic_data.tile, unit(_axis(colour))
-            out = dict(zip(_slice(tile, e, ORIGIN, ORIGIN), self.vertices[v].symbols))
-            for k, s in zip(_slice(tile, e, e, ORIGIN), self.vertices[u].symbols):
-                if out.setdefault(k, s) != s:
-                    raise InvariantViolation(
-                        f"edge ({v}, {u}, {colour}) has inconsistent overlap"
-                    )
-            self._edge_cache[key] = tuple(out[k] for k in range(len(out)))
-        return self._edge_cache[key]
+        columns, _, spans = self._edge_batch(colour)
+        i = spans[v][self._out[colour][v].index(u)]
+        return _path(self.basic_data.tile, e, [column[i] for column in columns.values()])
 
     def _edge_batch(self, colour: str) -> tuple:
-        """The ``colour`` edges in out-list order: their columns of symbols by
-        cell of ``T(e)``, their heads, and each vertex's range of edge
-        numbers; built from :meth:`_edge_symbols` at first use and kept."""
+        """The ``colour`` edges ``v -> u`` in out-list order: their columns of
+        symbols by cell of ``T(e)`` (a cell of ``T`` from ``v``, any other
+        cell ``c`` from ``u`` at ``c - e``), their heads, and each vertex's
+        range of edge numbers; gathered at first use and kept.
+        ``InvariantViolation`` names the first edge whose overlap disagrees."""
         if colour not in self._edge_batches:
-            rows, edge = self._out[colour], partial(self._edge_symbols, colour)
-            symbols = [edge(v, u) for v, us in enumerate(rows) for u in us]
-            cells = _layout(self.basic_data.tile, unit(_axis(colour))).cells
+            tile, axis = self.basic_data.tile, _axis(colour)
+            rows, e, slot = self._out[colour], unit(axis), _layout(tile, ORIGIN).slot
+            tails, heads = _spread(range(len(rows)), rows)
+            at = list(zip(*[v.symbols for v in self.vertices]))  # each slot's symbols
+            # By tile slot, each edge's symbol there in its tail, then in its head.
+            tail, head = ([list(map(s.__getitem__, vs)) for s in at] for vs in (tails, heads))
+            columns = {c: tail[slot[c]] if c in slot else head[slot[p_sub(c, e)]]
+                       for c in _layout(tile, e).cells}
+            wrong = [i for m, k in _overlap_pairs(tile, axis)
+                     for i in compress(count(), map(ne, tail[m], head[k]))]
+            if wrong:  # name the first in out-list order
+                v, u = tails[min(wrong)], heads[min(wrong)]
+                raise InvariantViolation(f"edge ({v}, {u}, {colour}) has inconsistent overlap")
             ends = list(accumulate(map(len, rows)))
-            self._edge_batches[colour] = (
-                {c: [s[k] for s in symbols] for k, c in enumerate(cells)},
-                list(chain.from_iterable(rows)), list(map(range, [0, *ends], ends)),
-            )
+            self._edge_batches[colour] = columns, heads, list(map(range, [0, *ends], ends))
         return self._edge_batches[colour]
 
 
@@ -424,35 +420,11 @@ def _fill_corner(
 @lru_cache(maxsize=256)
 def _geometry(tile: Tile, dmu: Point, dnu: Point) -> tuple:
     """What composing degree ``dmu`` with ``dnu`` writes: the cells of
-    ``T(dnu)`` outside ``T`` with their places ``dmu`` on, the fills and the
-    total degree, checked once per ``(tile, dmu, dnu)`` with no layout of
-    ``T(dmu)``, as on a hereditary tile ``p`` is in ``T(n)`` iff ``p >= 0``
-    and ``p`` moved back by at most ``n`` is in ``T``, and ``|T(n)|`` is
-    ``|T| + n1 (c2 + 1) + n2 (c1 + 1) + n1 n2``."""
+    ``T(dnu)`` outside ``T`` with their places ``dmu`` on, the fills of
+    :func:`_fills` and the total degree."""
     total = p_add(dmu, dnu)
-
-    def within(p: Point, n: Point) -> bool:
-        (x, y), (a, b) = p, n
-        return x >= 0 <= y and (x - a if x > a else 0, y - b if y > b else 0) in tile.points
-
     moved = [(c, p_add(c, dmu)) for c in _layout(tile, dnu).cells if c not in tile.points]
-    shared = next((p for _, p in moved if within(p, dmu)), None)
-    if shared is not None:  # outside nu's range window: the window test would not cover it
-        raise InvariantViolation(f"operands of degrees {dmu} and {dnu} share {shared}, "
-                                 f"outside the window at {dmu}")
-    fills, have = _fills(tile, dmu, total), {p for _, p in moved}  # beyond T(dmu)
-    for cell, pattern, key, forward in fills:
-        missing = {p for p in (*pattern, key) if p not in have and not within(p, dmu)}
-        if missing and not tile.degenerate:
-            base = p_sub(key, tile.corner_ul if forward else tile.corner_br)
-            raise InvariantViolation(f"cannot fill {cell}: window at {base} is missing "
-                                     f"{sorted(missing)}")
-        have.add(cell)
-    outside = [p for p in have if not within(p, dmu)]
-    size = [len(tile) + x * (tile.c2 + 1) + y * (tile.c1 + 1) + x * y for x, y in (dmu, total)]
-    if size[0] + len(outside) != size[1] or not all(within(p, total) for p in outside):
-        raise InvariantViolation("corner filling did not produce the full translate union")
-    return moved, fills, total
+    return moved, _fills(tile, dmu, total), total
 
 
 def _spread(rows, groups) -> tuple[list[int], list[int]]:
@@ -462,14 +434,15 @@ def _spread(rows, groups) -> tuple[list[int], list[int]]:
     return mus, list(chain.from_iterable(groups))
 
 
-def _join(bd: BasicData, dmu: Point, left, dnu: Point, right, mus, nus) -> dict:
+def _join(bd: BasicData, geometry: tuple, left, right, mus, nus) -> dict:
     """Row ``mus[k]`` of ``left`` composed with row ``nus[k]`` of ``right``
-    for each ``k``, as columns by cell; ``None`` takes each row as it is,
-    reusing ``left``'s dict or ``right``'s columns.  ``right``'s window at
-    the origin (``left``'s at ``dmu``) is not read; its other cells move by
-    ``dmu``.  Each fill is one pass through ``bd._rules``: a miss leaves a
-    hole (``None``) that later fills keep, and :func:`_replay` raises it."""
-    moved, fills, _ = _geometry(bd.tile, dmu, dnu)
+    for each ``k``, as columns by cell, by the :func:`_geometry` of their
+    degrees ``dmu`` and ``dnu``; ``None`` takes each row as it is, reusing
+    ``left``'s dict or ``right``'s columns.  ``right``'s window at the origin
+    (``left``'s at ``dmu``) is not read; its other cells move by ``dmu``.
+    Each fill is one pass through ``bd._rules``: a miss leaves a hole
+    (``None``) that later fills keep, and :func:`_replay` raises it."""
+    moved, fills, _ = geometry
     take = mus is not None and (  # itemgetter returns a tuple for two or more rows
         itemgetter(*mus) if len(mus) > 1 else lambda col: [col[k] for k in mus])
     out = {c: list(take(col)) for c, col in left.items()} if take else left
@@ -491,10 +464,11 @@ def _replay(bd: BasicData, fills, out) -> None:
         _forced_symbol(bd, values, next(s for s in fills if values[s[0]] is None))
 
 
-def _rows(bd: BasicData, dmu: Point, dnu: Point, out) -> Iterator[tuple[str, ...]]:
-    """The rows of :func:`_join`'s columns ``out`` in ``T(dmu + dnu)``'s slot
-    order; at the first with a hole, its error, as from a row-by-row loop."""
-    _, fills, total = _geometry(bd.tile, dmu, dnu)
+def _rows(bd: BasicData, geometry: tuple, out) -> Iterator[tuple[str, ...]]:
+    """The rows of :func:`_join`'s columns ``out`` by ``geometry``, in the
+    slot order of ``T`` at its total degree; at the first with a hole, its
+    error, as from a row-by-row loop."""
+    _, fills, total = geometry
     for lam in zip(*map(out.__getitem__, _layout(bd.tile, total).cells)):
         if None in lam:
             _replay(bd, fills, out)
@@ -521,8 +495,9 @@ def compose(bd: BasicData, mu: Path, nu: Path) -> Path:
             "cannot compose: source window of the first path differs from "
             "the range window of the second"
         )
-    (lam,) = _rows(bd, mu.degree, nu.degree, _join(bd, mu.degree, a, nu.degree, b, None, None))
-    return _path(bd.tile, p_add(mu.degree, nu.degree), lam)
+    geometry = _geometry(bd.tile, mu.degree, nu.degree)
+    (lam,) = _rows(bd, geometry, _join(bd, geometry, a, b, None, None))
+    return _path(bd.tile, geometry[2], lam)
 
 
 @lru_cache(maxsize=256)
@@ -636,9 +611,8 @@ def _chain_step(bd, sk, batch, colour: str, children: slice | None = None) -> tu
     edges = list(chain.from_iterable(groups))
     one = len(edges) == len(sources) and all(groups)  # row i extends row i
     mus = None if one else _spread(range(len(groups)), groups)[0]
-    e = unit(COLOUR_AXIS[colour])
-    out = _join(bd, d, cells, e, columns, mus, edges)
-    _, fills, total = _geometry(bd.tile, d, e)
+    _, fills, total = geometry = _geometry(bd.tile, d, unit(COLOUR_AXIS[colour]))
+    out = _join(bd, geometry, cells, columns, mus, edges)
     _replay(bd, fills, out)
     return total, out, list(map(heads.__getitem__, edges))
 

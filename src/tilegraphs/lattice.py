@@ -93,13 +93,14 @@ class Region:
 
 @dataclass(frozen=True)
 class Tile:
-    """A validated hereditary tile; construct through :func:`parse_tile`."""
+    """A validated hereditary tile; construct through :func:`parse_tile`.
+    Equality and the hash read ``points`` alone; the rest is derived."""
 
     points: frozenset[Point]
-    c1: int
-    c2: int
-    reduced: frozenset[Point]
-    degenerate: bool
+    c1: int = field(compare=False)
+    c2: int = field(compare=False)
+    reduced: frozenset[Point] = field(compare=False)
+    degenerate: bool = field(compare=False)
     sorted_points: tuple[Point, ...] = field(repr=False, compare=False)
     sorted_reduced: tuple[Point, ...] = field(repr=False, compare=False)
 

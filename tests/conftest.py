@@ -73,17 +73,17 @@ def relabel_data(bd, sigma):
 
 @pytest.fixture
 def edge_derivations(monkeypatch):
-    """The keys of the edge paths derived during a test, on any skeleton:
-    each call of ``Skeleton._edge_symbols`` on a key not cached yet."""
+    """The edge batches built during a test, as ``(skeleton, colour)``: each
+    call of ``Skeleton._edge_batch`` on a colour not built yet."""
     calls = []
-    edge_symbols = Skeleton._edge_symbols
+    edge_batch = Skeleton._edge_batch
 
-    def counted(sk, *key):
-        if key not in sk._edge_cache:
-            calls.append(key)
-        return edge_symbols(sk, *key)
+    def counted(sk, colour):
+        if colour not in sk._edge_batches:
+            calls.append((sk, colour))
+        return edge_batch(sk, colour)
 
-    monkeypatch.setattr(Skeleton, "_edge_symbols", counted)
+    monkeypatch.setattr(Skeleton, "_edge_batch", counted)
     return calls
 
 

@@ -681,15 +681,15 @@ class TestWitnessEvidenceAgainstTwin:
         assert f"for {len(sk.vertices) * len(PAIRS)} " not in note  # not all witnessed
 
     def test_each_edge_is_derived_at_most_once(self, edge_derivations):
-        # Every search walks the one skeleton, which keeps each edge's
-        # symbols once derived.
+        # Every search walks the one skeleton, which keeps each colour's
+        # edge batch once built.
         bd = identity_data()
         sk = build_skeleton(bd)
         note = witness_evidence(bd, sk, (1, 1), Limits())
         assert note == twin_witness_evidence(bd, sk, (1, 1))
         assert edge_derivations
         assert len(edge_derivations) == len(set(edge_derivations))
-        assert len(edge_derivations) <= len(sk.blue) + len(sk.red)
+        assert set(edge_derivations) <= {(sk, "blue"), (sk, "red")}
 
     def test_caps_are_checked_before_the_first_search(self, monkeypatch):
         # At cap 8 the first pair's depth (2, 1) fits and the third's, (2, 2),

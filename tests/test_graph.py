@@ -487,60 +487,6 @@ class TestCompose:
         assert lam.degree == (4, 2)
         assert set(lam.as_dict().values()) == {"1"}
 
-    # The three geometry refusals, each reached by a patched part of the
-    # geometry; no real tile reaches them.  The cache is emptied around each,
-    # so no patched geometry is read or kept.
-
-    @pytest.fixture
-    def patched(self, monkeypatch):
-        import tilegraphs.graph as graph
-
-        _geometry.cache_clear()
-        yield lambda name, wrap: monkeypatch.setattr(graph, name, wrap(getattr(graph, name)))
-        _geometry.cache_clear()
-
-    def split(self, bd, sk, dmu, dnu):
-        mu = enumerate_paths(bd, sk.vertices[0], dmu, skeleton=sk)[0]
-        return mu, enumerate_paths(bd, mu.source_vertex, dnu, skeleton=sk)[0]
-
-    def test_a_fill_whose_window_is_incomplete_is_refused(
-        self, ledrappier, ledrappier_sk, patched
-    ):
-        # (0, 2) then (2, 0) fills the bottom-right rectangle column by
-        # column; in reverse the fill of (3, 0) comes first, before the cells
-        # (2, 0) and (2, 1) of its window are filled.
-        patched("_fills", lambda real: lambda *args: real(*args)[::-1])
-        with pytest.raises(InvariantViolation) as err:
-            compose(ledrappier, *self.split(ledrappier, ledrappier_sk, (0, 2), (2, 0)))
-        assert str(err.value) == (
-            "cannot fill (3, 0): window at (2, 0) is missing [(2, 0), (2, 1)]"
-        )
-
-    def test_a_result_short_of_the_translate_union_is_refused(
-        self, ledrappier, ledrappier_sk, patched
-    ):
-        # Without its last fill, the composite would miss the cell (2, 0).
-        patched("_fills", lambda real: lambda *args: real(*args)[:-1])
-        with pytest.raises(InvariantViolation) as err:
-            compose(ledrappier, *self.split(ledrappier, ledrappier_sk, (0, 2), (1, 0)))
-        assert str(err.value) == "corner filling did not produce the full translate union"
-
-    def test_an_operand_cell_outside_the_shared_window_is_refused(self, ledrappier, patched):
-        # A cell of nu left of the origin would land on mu's cell (0, 0),
-        # which the window test at (1, 0) does not cover.
-        def stray(real):
-            def layout(tile, n):  # T(1, 0) with a cell left of the origin
-                found = real(tile, n)
-                return found if n != (1, 0) else type(found)(((-1, 0), *found.cells), {})
-            return layout
-
-        patched("_layout", stray)
-        with pytest.raises(InvariantViolation) as err:
-            _geometry(ledrappier.tile, (1, 0), (1, 0))
-        assert str(err.value) == (
-            "operands of degrees (1, 0) and (1, 0) share (0, 0), outside the window at (1, 0)"
-        )
-
 
 class TestFactorize:
     def test_full_slice_is_identity(self, ledrappier, ledrappier_sk):
@@ -928,7 +874,8 @@ class TestAxiomSuites:
         # cell: the batch meets row 2's hole first, but must raise row 1's
         # error, as a loop over the rows does.
         bd, sk = ledrappier, ledrappier_sk
-        assert [fill[0] for fill in _geometry(bd.tile, (0, 2), (1, 0))[1]] == [(2, 1), (2, 0)]
+        geometry = _geometry(bd.tile, (0, 2), (1, 0))
+        assert [fill[0] for fill in geometry[1]] == [(2, 1), (2, 0)]
         mu = enumerate_paths(bd, sk.vertices[0], (0, 2), skeleton=sk)[0]
         nu = enumerate_paths(bd, mu.source_vertex, (1, 0), skeleton=sk)[0]
         row = [s for _, s in mu.labels + nu.labels]
@@ -950,10 +897,10 @@ class TestAxiomSuites:
         columns = [list(c) for c in zip(*rows)]
         left = dict(zip(mu.as_dict(), columns))
         right = dict(zip(nu.as_dict(), columns[len(mu.labels):]))
-        out = _join(bd, (0, 2), left, (1, 0), right, [0, 1, 2], [0, 1, 2])
+        out = _join(bd, geometry, left, right, [0, 1, 2], [0, 1, 2])
         cells = _layout(bd.tile, (1, 2)).cells
         assert [None in lam for lam in zip(*map(out.__getitem__, cells))] == [False, True, True]
-        batch = _rows(bd, (0, 2), (1, 0), out)
+        batch = _rows(bd, geometry, out)
         assert next(batch) == tuple(s for _, s in compose(bd, mu, nu).labels)
         with pytest.raises(MissingPattern) as err:
             next(batch)
@@ -984,9 +931,9 @@ class TestAxiomSuites:
         runs = Counter()
         real = checks._join
 
-        def counted(bd, dmu, left, dnu, right, mus, nus):
+        def counted(bd, geometry, left, right, mus, nus):
             runs["rows"] += len(mus)
-            return real(bd, dmu, left, dnu, right, mus, nus)
+            return real(bd, geometry, left, right, mus, nus)
 
         monkeypatch.setattr(checks, "_join", counted)
         assert check_associativity(ledrappier, sk=sk).ok
@@ -1017,10 +964,9 @@ class TestAxiomSuites:
             # disagree, which compose names; the batches, which read no
             # windows, see the two orders differ only at red-blue-red
             # triples, batched after the hole's.
-            symbols = list(sk._edge_symbols("red", 0, 0))
-            k = _layout(ledrappier.tile, (0, 1)).slot[0, 2]
-            symbols[k] = "1" if symbols[k] == "0" else "0"
-            sk._edge_cache["red", 0, 0] = tuple(symbols)
+            columns, _, spans = sk._edge_batch("red")
+            column, i = columns[0, 2], spans[0][sk.out_neighbours("red", 0).index(0)]
+            column[i] = "1" if column[i] == "0" else "0"
             want = (
                 "SourceRangeMismatch: cannot compose: source window of the first "
                 "path differs from the range window of the second"
@@ -1383,12 +1329,14 @@ class TestPlannedCoreAgainstTwin:
         assert got == outcome(twin_all_paths, bad, (1, 1), broken, Limits(), True)
 
     def test_all_paths_derives_each_edge_path_once(self, rem3, edge_derivations):
-        # A fresh skeleton: edge symbols stay cached on it after the call.
+        # A fresh skeleton: each colour's edge batch stays on it once built,
+        # so rem3's 48 edges are derived in two batches.
         sk = build_skeleton(rem3)
-        calls = edge_derivations
         paths = all_paths(rem3, (2, 2), skeleton=sk, strict=False)
         assert len(paths) == path_count(rem3, (2, 2)) * len(sk.vertices)
-        assert len(calls) == len(set(calls)) == len(sk.blue) + len(sk.red) == 48
+        assert len(edge_derivations) == 2
+        assert set(edge_derivations) == {(sk, "blue"), (sk, "red")}
+        assert len(sk.blue) + len(sk.red) == 48
 
     @given(core_cases(), st.integers(1, 300))
     @settings(max_examples=40, deadline=None)
@@ -1960,18 +1908,59 @@ BASIC_DATA_INPUTS = sorted(
 )
 
 
-@pytest.mark.parametrize("path", BASIC_DATA_INPUTS, ids=lambda path: path.stem)
-def test_each_geometry_writes_the_rest_of_its_translate_union(path):
-    # The cell test and the cell count read off the tile agree with the
-    # translate union: composing any degree up to (2, 2) with another one
-    # writes each cell of T(dmu + dnu) outside T(dmu) once.
-    tile = basic_data_from_dict(json.loads(path.read_text())).tile
-    for dmu in box((0, 0), (2, 2)):
-        for dnu in box((0, 0), (2, 2)):
-            moved, fills, total = _geometry(tile, dmu, dnu)
-            written = [p for _, p in moved] + [fill[0] for fill in fills]
-            rest = translate_union(tile, total).points - translate_union(tile, dmu).points
-            assert total == p_add(dmu, dnu) and sorted(written) == sorted(rest)
+def column_heights(cells, top=None):
+    """Each way to stack ``cells`` cells in columns no taller than ``top``,
+    each no taller than the one before: one hereditary tile each."""
+    if cells == 0:
+        yield ()
+    for h in range(min(cells, top or cells), 0, -1):
+        for rest in column_heights(cells - h, h):
+            yield (h, *rest)
+
+
+SMALL_TILES = [heights for cells in range(1, 9) for heights in column_heights(cells)]
+DEEP_DEGREES = [d for k in (40, 41) for d in ((k, 0), (0, k), (k, 1), (1, k))]
+
+
+def geometry_tile(case):
+    """The tile of an input file, or of a stack of column heights."""
+    if isinstance(case, tuple):
+        return parse_tile([(x, y) for x, h in enumerate(case) for y in range(h)])
+    return basic_data_from_dict(json.loads(case.read_text())).tile
+
+
+@pytest.mark.parametrize(
+    "case", [*BASIC_DATA_INPUTS, *SMALL_TILES],
+    ids=lambda case: "-".join(map(str, case)) if isinstance(case, tuple) else case.stem,
+)
+def test_each_geometry_writes_the_rest_of_its_translate_union(case):
+    # The oracle of the composition geometry: for the 66 hereditary tiles of
+    # at most 8 cells and the inputs' tiles, composing any degree up to
+    # (3, 3) with another one, and a deep strip with one edge either way,
+    # moves nu's cells outside T(dmu), runs each fill once its pattern and
+    # key cells are written (on the one-cell tile the key is the target),
+    # and writes each cell of T(dmu + dnu) outside T(dmu) once.
+    tile = geometry_tile(case)
+    unions = {}
+
+    def union(n):
+        if n not in unions:
+            unions[n] = translate_union(tile, n).points
+        return unions[n]
+
+    small = box((0, 0), (3, 3))
+    deep = [p for d in DEEP_DEGREES for e in ((1, 0), (0, 1)) for p in ((d, e), (e, d))]
+    for dmu, dnu in [*itertools.product(small, repeat=2), *deep]:
+        moved, fills, total = _geometry(tile, dmu, dnu)
+        assert total == p_add(dmu, dnu)
+        written = [p for _, p in moved]
+        assert not union(dmu) & set(written)
+        have = set(union(dmu)) | set(written)
+        for target, pattern, key, _ in fills:
+            assert len(tile) == 1 or {*pattern, key} <= have
+            have.add(target)
+            written.append(target)
+        assert sorted(written) == sorted(union(total) - union(dmu))
 
 
 @pytest.mark.parametrize("path", BASIC_DATA_INPUTS, ids=lambda path: path.stem)
