@@ -14,7 +14,7 @@ An independent semi-decision oracle is provided by the bounded witness
 search: a path whose two slices at offsets ``m`` and ``n`` differ witnesses
 that the pair ``(m, n)`` cannot be a period at its root vertex.
 :func:`witness_evidence`, the ``analyze`` note of a table without a
-certificate, walks each vertex's paths once per depth, first path first.
+certificate, walks each vertex's paths once at depth ``(1, 1) + bound``.
 """
 
 from __future__ import annotations
@@ -275,17 +275,16 @@ def periodicity_witness_search(
     to this depth; "no witness up to depth" never means "periodic".
     """
     depth = _witness_depth(bd, m, n, depth, limits)
-    (lam,) = _first_witnesses(bd, v, [(m, n)], depth, skeleton, limits)
+    pair = [_slice(bd.tile, depth, k, p_sub(depth, p_join(m, n))) for k in (m, n)]
+    (lam,) = _first_witnesses(bd, v, [pair], depth, skeleton, limits)
     return None if lam is None else _path(bd.tile, depth, lam)
 
 
-def _first_witnesses(bd, v, pairs, depth, skeleton, limits) -> list:
-    """Per offset pair ``(m, n)``, the symbols of the first degree-``depth``
-    path from ``v`` with differing slices at ``m`` and ``n``, or None, from
-    one walk that stops once every pair has its witness."""
-    rests = [p_sub(depth, p_join(m, n)) for m, n in pairs]
-    slices = [[_slice(bd.tile, depth, k, r) for k in mn] for mn, r in zip(pairs, rests)]
-    found = [None] * len(pairs)
+def _first_witnesses(bd, v, slices, depth, skeleton, limits) -> list:
+    """Per pair ``(left, right)`` of slot lists of ``T(depth)``, the symbols
+    of the first degree-``depth`` path from ``v`` that differs on them, or
+    None, from one walk that stops once every pair has its witness."""
+    found = [None] * len(slices)
     for lam in _chain_walk(bd, v, depth, skeleton, limits):
         for i, (left, right) in enumerate(slices):
             if found[i] is None and [lam[k] for k in left] != [lam[k] for k in right]:
@@ -296,20 +295,19 @@ def _first_witnesses(bd, v, pairs, depth, skeleton, limits) -> list:
 
 
 def witness_evidence(bd: BasicData, sk: Skeleton, bound: Point, limits: Limits) -> str:
-    """The report note for a table without a certificate: for each vertex
-    and offset pair ``(m, n)`` drawn from ``0, e1, e2, e1 + e2``, a witness
-    search at depth ``m v n + bound``.  Every pair's depth is checked against
-    the caps first; then one walk per vertex and depth answers its pairs."""
+    """The report note for a table without a certificate: per vertex and
+    offset pair ``(m, n)`` from ``0, e1, e2, e1 + e2``, a witness search at
+    depth ``m v n + bound``, all caps checked first, by one walk at ``(1, 1)
+    + bound``; ``sk`` must pass the degree-count check, so that paths extend."""
     units = [ORIGIN, (1, 0), (0, 1), (1, 1)]
     pairs = [(m, n) for m in units for n in units if m != n and p_meet(m, n) == ORIGIN]
-    by_depth: dict[Point, list] = {}
     for m, n in pairs:
-        depth = _witness_depth(bd, m, n, p_add(p_join(m, n), bound), limits)
-        by_depth.setdefault(depth, []).append((m, n))
+        _witness_depth(bd, m, n, p_add(p_join(m, n), bound), limits)
+    depth = p_add((1, 1), bound)
+    slices = [[_slice(bd.tile, depth, k, bound) for k in mn] for mn in pairs]
     found = sum(
-        len(group) - _first_witnesses(bd, v, group, depth, sk, limits).count(None)
+        len(pairs) - _first_witnesses(bd, v, slices, depth, sk, limits).count(None)
         for v in sk.vertices
-        for depth, group in by_depth.items()
     )
     return (
         f"bounded witness search (join + {bound}): witnesses found for "

@@ -1,4 +1,5 @@
 import itertools
+import json
 import time
 from unittest import mock
 
@@ -33,11 +34,12 @@ from tilegraphs.dynamics import (
     breaking_cycle_candidates,
     witness_evidence,
 )
-from tilegraphs.graph import BLUE, RED, _path, factorize, path_count
+from tilegraphs.graph import BLUE, RED, _path, _slice, factorize, path_count
 from tilegraphs.lattice import ORIGIN, box, p_add, p_join, p_meet, p_sub
 from tilegraphs.limits import Limits
+from tilegraphs.serialize import basic_data_from_dict
 
-from conftest import small_data
+from conftest import DATA_DIR, small_data
 
 
 def labelling(v):
@@ -610,15 +612,14 @@ class TestConnectivityAgainstTheSetLoop:
 # -- the batched twin of the witness evidence ----------------------------------
 #
 # The evidence loop as first written for ``analyze``: each vertex's paths are
-# enumerated in full once per depth, then scanned for the first witness of
-# every offset pair of that depth.  The library walks each vertex's paths
-# once per depth, stopping once every pair of the depth has its witness, and
-# must give the same note.
+# enumerated in full once per depth ``join + bound``, then scanned for the
+# first witness of every offset pair of that depth.  The library walks each
+# vertex's paths once, at depth ``(1, 1) + bound``, stopping once every pair
+# has its witness, and must give the same note.
 
 UNITS = [ORIGIN, (1, 0), (0, 1), (1, 1)]
 PAIRS = [(m, n) for m in UNITS for n in UNITS if m != n and p_meet(m, n) == ORIGIN]
-# The pairs sharing a join, so a depth ``join + bound``: one walk each.
-DEPTH_GROUPS = [[mn for mn in PAIRS if p_join(*mn) == j] for j in UNITS[1:]]
+UNKNOWN_INPUTS = sorted((DATA_DIR.parent / "perfbench" / "inputs" / "unknown").glob("*.json"))
 
 
 def identity_data():
@@ -628,9 +629,10 @@ def identity_data():
     return validate_basic_data(square, ["0", "1"], table)
 
 
-def twin_first_witness(paths, m, n, depth):
-    """The first of ``paths`` whose slices at ``m`` and ``n`` differ."""
-    rest = p_sub(depth, p_join(m, n))
+def twin_first_witness(paths, m, n, depth, rest=None):
+    """The first of ``paths`` whose slices of degree ``rest`` (by default
+    ``depth - m v n``) at ``m`` and ``n`` differ."""
+    rest = p_sub(depth, p_join(m, n)) if rest is None else rest
     for lam in paths:
         left = factorize(lam, m, p_add(m, rest))
         right = factorize(lam, n, p_add(n, rest))
@@ -680,6 +682,16 @@ class TestWitnessEvidenceAgainstTwin:
         assert note == twin_witness_evidence(bd, sk, bound)
         assert f"for {len(sk.vertices) * len(PAIRS)} " not in note  # not all witnessed
 
+    @pytest.mark.parametrize("bound", [(0, 0), (2, 2)])
+    @pytest.mark.parametrize("path", UNKNOWN_INPUTS, ids=lambda path: path.stem)
+    def test_unknown_inputs(self, path, bound):
+        # The benchmark's tables without a certificate; on square2-04 some
+        # pairs have no witness, so its walks run to the end.
+        bd = basic_data_from_dict(json.loads(path.read_text()))
+        sk = build_skeleton(bd)
+        note = witness_evidence(bd, sk, bound, Limits())
+        assert note == twin_witness_evidence(bd, sk, bound)
+
     def test_each_edge_is_derived_at_most_once(self, edge_derivations):
         # Every search walks the one skeleton, which keeps each colour's
         # edge batch once built.
@@ -694,7 +706,7 @@ class TestWitnessEvidenceAgainstTwin:
     def test_caps_are_checked_before_the_first_search(self, monkeypatch):
         # At cap 8 the first pair's depth (2, 1) fits and the third's, (2, 2),
         # does not: the note is refused before any walk runs.  At cap 16
-        # each vertex is walked once per depth, (2, 1), (1, 2) and (2, 2).
+        # each vertex is walked once, at (2, 2).
         import tilegraphs.dynamics as dynamics
 
         calls = []
@@ -711,7 +723,7 @@ class TestWitnessEvidenceAgainstTwin:
         assert str(err.value) == "16 paths of degree (2, 2) would exceed the cap of 8"
         assert calls == []
         witness_evidence(bd, sk, (1, 1), Limits(max_paths=16))
-        assert len(calls) == len(sk.vertices) * 3
+        assert len(calls) == len(sk.vertices)
 
     @given(
         small_data(),
@@ -720,8 +732,10 @@ class TestWitnessEvidenceAgainstTwin:
     )
     @settings(max_examples=30, deadline=None)
     @example(identity_data(), (1, 1), 64)
+    @example(identity_data(), (1, 1), 4)
     def test_small_data(self, bd, bound, cap):
-        # A cap below some pair's path count is refused before any search.
+        # A cap below some pair's path count is refused before any search,
+        # naming the first such pair's depth: at cap 4, (2, 1).
         sk, limits = build_skeleton(bd), Limits(max_paths=cap)
         assert evidence_outcome(witness_evidence, bd, sk, bound, limits) == (
             evidence_outcome(twin_witness_evidence, bd, sk, bound, limits)
@@ -747,19 +761,20 @@ class TestWitnessEvidenceAgainstTwin:
     @given(
         st.one_of(small_data(), st.just(identity_data())),
         st.integers(0, 63),
-        st.sampled_from(DEPTH_GROUPS),
         st.tuples(st.integers(0, 2), st.integers(0, 2)),
     )
     @settings(max_examples=40, deadline=None)
-    def test_one_walk_finds_every_pairs_first_witness(self, bd, vi, group, bound):
-        # Pair by pair, the first path of the full list whose slices differ,
-        # or None; the walk stops at the last of those first witnesses.
+    def test_one_walk_finds_every_pairs_first_witness(self, bd, vi, bound):
+        # Pair by pair, the first path of degree (1, 1) + bound whose slices
+        # of degree ``bound`` differ, or None; the walk stops at the last of
+        # those first witnesses.
         import tilegraphs.dynamics as dynamics
 
         sk = build_skeleton(bd)
         v = sk.vertices[vi % len(sk.vertices)]
-        depth = p_add(p_join(*group[0]), bound)
+        depth = p_add((1, 1), bound)
         paths = enumerate_paths(bd, v, depth, skeleton=sk)
+        slices = [[_slice(bd.tile, depth, k, bound) for k in mn] for mn in PAIRS]
         walked, walk = [], dynamics._chain_walk
 
         def counted(*args):
@@ -768,8 +783,8 @@ class TestWitnessEvidenceAgainstTwin:
                 yield lam
 
         with mock.patch.object(dynamics, "_chain_walk", counted):
-            found = _first_witnesses(bd, v, group, depth, sk, Limits())
-        twins = [twin_first_witness(paths, m, n, depth) for m, n in group]
+            found = _first_witnesses(bd, v, slices, depth, sk, Limits())
+        twins = [twin_first_witness(paths, m, n, depth, bound) for m, n in PAIRS]
         assert [None if lam is None else _path(bd.tile, depth, lam) for lam in found] == twins
         assert len(walked) == (
             len(paths) if None in twins else 1 + max(map(paths.index, twins))

@@ -1777,14 +1777,14 @@ def twin_associativity(bd, sk=None, limits=Limits()):
                 f"path cap of {limits.max_paths}"
             )
         vertices = range(len(sk.vertices))
-        out = [
-            [
-                (u, sk.edge_path(c, v, u))
-                for c in ("blue", "red")
-                for u in sk.out_neighbours(c, v)
-            ]
+        # Every edge path, blue edges first, before any compose.
+        paths = {
+            (c, v, u): sk.edge_path(c, v, u)
+            for c in ("blue", "red")
             for v in vertices
-        ]
+            for u in sk.out_neighbours(c, v)
+        }
+        out = [[(u, path) for (_, w, u), path in paths.items() if w == v] for v in vertices]
         for v in vertices:
             for w, mu in out[v]:
                 for x, nu in out[w]:
@@ -1889,6 +1889,12 @@ class TestAxiomChecksAgainstTwin:
     @example((corrupt(ledrappier_data(), "missing-pattern"), (1, 1),
               rewired(build_skeleton(ledrappier_data()), {(0, 1)}, {(0, 1), (2, 0), (3, 3)})))
     @example((corrupted_ledrappier_data(), (2, 2), None))
+    # Ledrappier's skeleton without vertex 0's blue edges, plus the bad blue
+    # edge (1, 0) and the bad red edge (0, 2): both read blue first.
+    @example((ledrappier_data(), (0, 0), rewired(
+        build_skeleton(ledrappier_data()),
+        {(1, 0), (1, 2), (1, 3), (2, 2), (2, 3), (3, 0), (3, 1)},
+        {(0, 0), (0, 1), (0, 2), (1, 2), (1, 3), (2, 0), (2, 1), (3, 2), (3, 3)})))
     def test_checks_match_the_twins(self, case):
         bd, d, sk = case
         assert result_key(outcome(check_unique_factorisation, bd, d, sk)) == result_key(
