@@ -9,8 +9,8 @@ they also catch deliberately corrupted data that bypassed validation.
 Unique factorisation takes each degree's edge chains one frontier step
 from the degree one edge below, and composes each split as one batch of
 columns by cell, through the one composition executor
-:func:`tilegraphs.graph._join`; associativity composes each needed
-two-edge chain once, then each range vertex's triples in both orders.  A
+:func:`tilegraphs.graph._join`; associativity composes every two-edge
+chain once, then each range vertex's triples in both orders.  A
 ``Path`` is built only for a counterexample, and rows are composed one by
 one only where a batch fails.
 
@@ -32,7 +32,7 @@ from functools import partial
 from itertools import accumulate, chain, compress, product
 from typing import Any
 
-from .data import BasicData
+from .data import BasicData, _vertex_exponent
 from .errors import SizeLimit, TileGraphError
 from .graph import (
     BLUE,
@@ -48,6 +48,7 @@ from .graph import (
     _join,
     _layout,
     _path,
+    _path_exponent,
     _rows,
     _spread,
     build_skeleton,
@@ -83,10 +84,17 @@ def _window_filter(bd: BasicData, n: Point, limits: Limits) -> list[list[str]]:
     filtered by the window ending at that cell: rows stay in lexicographic
     order, and the frontier never holds more than ``|A|`` times the largest
     filtered frontier.  Each step keeps the row each new row extends and
-    its symbol; only slots a later window reads follow the frontier.
+    its symbol; only slots a later window reads follow the frontier.  The
+    cap is decided first: ``_vertex_keys`` has one bottom-right symbol per
+    pattern and top symbol, valid table or not, so a kept labelling is fixed
+    by its ``|T(n)| - (n1 + 1)(n2 + 1) = |P| + 1 + n1 c2 + n2 c1`` cells that
+    are no window's bottom-right corner, a bound the count meets on valid data.
     """
     _check_degree(n)
     _check_windows(n, limits)
+    e = _vertex_exponent(bd.tile) + _path_exponent(bd, n)
+    msg = "brute force: paths of degree {n} exceed the path cap of {cap}"
+    _check_cap((len(bd.alphabet), e), limits.max_paths, msg, n=n)
     tile, slot = bd.tile, _layout(bd.tile, n).slot
     # By the slot of its last cell (translation keeps the tile's order), each
     # window's vertex key: its slots at the reduced set and both corners.
@@ -108,8 +116,6 @@ def _window_filter(bd: BasicData, n: Point, limits: Limits) -> list[list[str]]:
             live = {q: list(compress(c, keep)) for q, c in live.items()}
         steps.append((array("l", take), live[i]))
         size = len(take)
-    msg = "brute force: paths of degree {n} exceed the path cap of {cap}"
-    _check_cap(size, limits.max_paths, msg, n=n)
     columns, index = [], range(size)
     for take, column in reversed(steps):
         columns.append(list(map(column.__getitem__, index)))
@@ -338,24 +344,17 @@ def check_associativity(
         # Composable triples are the three-edge chains along the out-lists,
         # in either colour at each step: O(E) per step to count.
         vertices = range(len(sk.vertices))
-        out = sk._out[BLUE, RED]
-        chains = _count_chains(dict.fromkeys(vertices, 1), [out] * 3)
+        chains = _count_chains(dict.fromkeys(vertices, 1), [sk._out[BLUE, RED]] * 3)
         count = sum(chains.values())
         msg = "associativity: {size} composable edge triples exceed the path cap of {cap}"
         _check_cap(count, limits.max_paths, msg)
         edges = {c: sk._edge_batch(c) for c in (BLUE, RED)}  # every edge, before any compose
-        # Per colour pair, one batch of the chains (mu, nu) in some triple:
-        # nu's head has out-edges or mu's tail in-edges.  Then each vertex's
-        # range of rows, and each row's source.
-        entered = set(chain.from_iterable(out))
+        # Per colour pair, one batch of every chain (mu, nu) in out-list
+        # order, then each vertex's range of rows, and each row's source.
         pairs, e = {}, {c: unit(COLOUR_AXIS[c]) for c in (BLUE, RED)}
         for a, b in product((BLUE, RED), repeat=2):
             (cols_a, heads_a, spans_a), (cols_b, heads_b, spans_b) = edges[a], edges[b]
-            groups = [
-                [nu for nu in spans_b[heads_a[mu]] if v in entered or out[heads_b[nu]]]
-                for v in vertices
-                for mu in spans_a[v]
-            ]
+            groups = list(map(spans_b.__getitem__, heads_a))
             starts = [0, *accumulate(map(len, groups))]
             mus, nus = _spread(range(len(groups)), groups)
             pairs[a, b] = (
@@ -365,8 +364,7 @@ def check_associativity(
             )
         # Per range vertex and colour triple, (mu nu) rho and mu (nu rho) as
         # two batches, equal and with no (falsy) hole, or the vertex's triples
-        # are composed again in order.  Every chain nu rho is in ``bc``, as
-        # mu enters nu's tail.
+        # are composed again in order.
         for v, (a, b, c) in product(vertices, product((BLUE, RED), repeat=3)):
             (cols_a, heads_a, spans_a), (cols_c, _, spans_c) = edges[a], edges[c]
             (ab, at_ab, sources), (bc, at_bc, _) = pairs[a, b], pairs[b, c]

@@ -910,12 +910,11 @@ class TestAxiomSuites:
     def test_associativity_composes_each_two_edge_chain_once(
         self, ledrappier, ledrappier_sk, monkeypatch, dead
     ):
-        # Batch rows: two per composable triple, plus one per two-edge chain
-        # that some triple has as mu nu or as nu rho: 2 * 256 + 64 on
-        # ledrappier, where four composes per triple would give 1,024.  With
-        # vertex ``dead`` left without out-edges and vertex 0 without
-        # in-edges, the chains from 0 into ``dead`` are in no triple, so they
-        # are never composed.
+        # Batch rows: two per composable triple, plus one per two-edge chain:
+        # 2 * 256 + 64 on ledrappier, where four composes per triple would
+        # give 1,024.  With vertex ``dead`` left without out-edges and vertex
+        # 0 without in-edges, the chains from 0 into ``dead`` are in no
+        # triple, and they are composed too: 2 * 39 + 21.
         import tilegraphs.checks as checks
 
         sk = ledrappier_sk
@@ -927,7 +926,6 @@ class TestAxiomSuites:
         edges = [(c, v, u) for c in ("blue", "red") for v, u in sk.edges(c)]
         chains = [(a, b) for a in edges for b in edges if a[2] == b[1]]
         triples = [(a, b, c) for a, b in chains for c in edges if b[2] == c[1]]
-        needed = {t[:2] for t in triples} | {t[1:] for t in triples}
         runs = Counter()
         real = checks._join
 
@@ -937,11 +935,8 @@ class TestAxiomSuites:
 
         monkeypatch.setattr(checks, "_join", counted)
         assert check_associativity(ledrappier, sk=sk).ok
-        assert runs["rows"] == 2 * len(triples) + len(needed)
-        if dead is None:
-            assert runs["rows"] == 2 * 256 + 64
-        else:
-            assert len(needed) < len(chains)
+        assert runs["rows"] == 2 * len(triples) + len(chains)
+        assert runs["rows"] == (2 * 256 + 64 if dead is None else 2 * 39 + 21)
 
     @pytest.mark.parametrize("variant", ["hole", "difference"])
     def test_associativity_reports_the_first_bad_triple_in_order(self, ledrappier, variant):
@@ -990,6 +985,38 @@ class TestAxiomSuites:
         assert str(err.value) == (
             f"brute force: paths of degree (1, 1) exceed the path cap of {cap}"
         )
+
+    def test_brute_force_refuses_before_any_layout(self, ledrappier, monkeypatch):
+        # Degree (9, 9) has 2 ** 20 paths: refused from the bound, before the
+        # filter builds the layout it would run on.
+        import tilegraphs.checks as checks
+
+        def no_layout(*args):
+            raise AssertionError("layout built before the cap was decided")
+
+        monkeypatch.setattr(checks, "_layout", no_layout)
+        with pytest.raises(SizeLimit) as err:
+            brute_force_paths(ledrappier, (9, 9))
+        assert str(err.value) == (
+            "brute force: paths of degree (9, 9) exceed the path cap of 200000"
+        )
+
+    @given(
+        st.one_of(small_data(), small_data(("0", "1", "2"))),
+        st.sampled_from([None, "non-bijective", "missing-pattern", "unknown-symbol"]),
+        st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_brute_force_stays_within_its_bound(self, bd, how, n):
+        # At most |A| ** (cells of T(n) that are no window's bottom-right
+        # corner) paths, and exactly that many on validated data.
+        bad = corrupt(bd, how)
+        free = len(translate_union(bd.tile, n).points) - (n[0] + 1) * (n[1] + 1)
+        bound = len(bad.alphabet) ** free
+        got = len(brute_force_paths(bad, n))
+        assert got <= bound
+        if how is None:
+            assert got == bound == bd.vertex_count() * path_count(bd, n)
 
     def test_square_pairs_meet_four_partners(self, square, square_sk):
         # The square tile shares a diagonal cell between the two extreme
@@ -1168,7 +1195,8 @@ def twin_walk(bd, roots, n, sk, limits, strict):
 def twin_brute_force_paths(bd, n, limits):
     """The window-filter backtracker as first written: one recursion level
     per cell of ``T(n)``, symbols tried in alphabet order, after the
-    library's refusal of more windows than the path cap."""
+    library's refusals of more windows than the path cap, then of more
+    labellings of the cells that are no window's bottom-right corner."""
     if (n[0] + 1) * (n[1] + 1) > limits.max_paths:
         raise SizeLimit(
             f"the windows of a path of degree {n} would exceed the cap of "
@@ -1176,6 +1204,11 @@ def twin_brute_force_paths(bd, n, limits):
         )
     tile = bd.tile
     cells = translate_union(tile, n).sorted_points
+    if len(bd.alphabet) ** (len(cells) - (n[0] + 1) * (n[1] + 1)) > limits.max_paths:
+        raise SizeLimit(
+            f"brute force: paths of degree {n} exceed the path cap of "
+            f"{limits.max_paths}"
+        )
     last_cell_windows = {}
     for k in box((0, 0), n):
         last_cell_windows.setdefault(p_add(tile.sorted_points[-1], k), []).append(k)
