@@ -7,10 +7,12 @@ a breadth-first window filter, independent of edge-chain composition), so
 they also catch deliberately corrupted data that bypassed validation.
 
 Unique factorisation takes each degree's edge chains one frontier step
-from the degree one edge below, and composes each split as one batch of
-columns by cell, through the one composition executor
-:func:`tilegraphs.graph._join`; associativity composes every two-edge
-chain once, then each range vertex's triples in both orders.  A
+from the degree one edge below, and composes each split's slices back as
+one batch of columns by cell, through the one composition executor
+:func:`tilegraphs.graph._join`; the split's composable pairs are then
+counted, and composed only to name a failure.  Associativity is decided
+once per tile on terms (:func:`_order_gap`), else it composes every
+two-edge chain once, then each range vertex's triples in both orders.  A
 ``Path`` is built only for a counterexample, and rows are composed one by
 one only where a batch fails.
 
@@ -29,7 +31,8 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate, chain, compress, product
+from itertools import accumulate, chain, compress, product, repeat
+from types import SimpleNamespace
 from typing import Any
 
 from .data import BasicData, _vertex_exponent
@@ -55,7 +58,7 @@ from .graph import (
     compose,
     path_count,
 )
-from .lattice import ORIGIN, Point, box, p_add, p_sub, unit
+from .lattice import ORIGIN, Point, Tile, box, p_add, p_sub, unit
 from .limits import DEFAULT_LIMITS, Limits, _check_cap
 
 
@@ -236,6 +239,12 @@ def check_unique_factorisation(
     the path; (b) composing *all* composable pairs of those degrees hits
     every degree-``d`` path exactly once.
 
+    Once (a) holds, (b) is a count: the chains equal the brute force up to
+    ``d``, so each path's slices are a composable pair of chain rows, which
+    composes back to it by (a).  Paths map one to one into the pairs, so
+    (b) holds exactly when there are as many pairs as paths; only when
+    there are more are the pairs composed, to name the failure.
+
     More path splits in all than ``limits.max_paths`` raise
     :class:`SizeLimit` before the first walk.
     """
@@ -286,14 +295,13 @@ def check_unique_factorisation(
                         if got != lam:
                             return fail(f"slice-and-compose failed at degree {d}, split {m}",
                                         counterexample=_path(tile, d, lam))
-                # (b), in (mu, nu) enumeration order: each mu meets the nu's
-                # whose range is its source, in their order.
+                # (b) by the pair count; in (mu, nu) enumeration order, each mu
+                # meets the nu's whose range is its source, in their order.
                 left = enumerated[m][0]
                 groups = [ranges[n].get(k, ()) for k in zip(*[left[p_add(c, m)] for c in window])]
-                out = _join(bd, geometry, left, enumerated[n][0],
-                            *_spread(range(len(groups)), groups))
-                if len(out[ORIGIN]) != len(brute_set) or (
-                        set(zip(*map(out.__getitem__, order))) != brute_set):
+                if sum(map(len, groups)) != len(brute_set):
+                    out = _join(bd, geometry, left, enumerated[n][0],
+                                *_spread(range(len(groups)), groups))
                     seen: set[tuple[str, ...]] = set()
                     for lam in _rows(bd, geometry, out):
                         if lam in seen:
@@ -310,6 +318,34 @@ def check_unique_factorisation(
         True,
         f"all splits of all paths of degree <= {degree} factor uniquely",
     )
+
+
+def _order_gap(tile: Tile) -> tuple | None:
+    """The first colour triple, and cell in slot order, at which edges
+    ``mu``, ``nu``, ``rho`` compose differently by :func:`_join` as
+    ``(mu nu) rho`` and as ``mu (nu rho)`` on terms, or None.  An operand
+    cell holds the variable named by its cell of the triple's path, so
+    operands share the variables of the window they share; a fill writes
+    ``(forward, pattern terms..., key term)``, on the one-cell tile one
+    constant.  So equal terms are equal symbols wherever the rules hit."""
+    rules = (SimpleNamespace(get=partial(tuple.__add__, (False,))),
+             SimpleNamespace(get=partial(tuple.__add__, (True,))))
+    terms = SimpleNamespace(tile=tile, _rules=rules, distinguished=())  # _join's reads of bd
+    for triple in product((BLUE, RED), repeat=3):
+        da, db, dc = map(unit, map(COLOUR_AXIS.__getitem__, triple))
+        operands = []
+        for d, at in zip((da, db, dc), (ORIGIN, da, p_add(da, db))):
+            cells = _layout(tile, d).cells  # each cell's variable: its cell of the path
+            operands.append(dict(zip(cells, map(list, zip(map(p_add, cells, repeat(at)))))))
+        mu, nu, rho = operands
+        ab = _join(terms, _geometry(tile, da, db), dict(mu), nu, None, None)
+        left = _join(terms, _geometry(tile, p_add(da, db), dc), ab, rho, None, None)
+        bc = _join(terms, _geometry(tile, db, dc), nu, rho, None, None)
+        right = _join(terms, _geometry(tile, da, p_add(db, dc)), mu, bc, None, None)
+        for c in _layout(tile, p_add(p_add(da, db), dc)).cells:
+            if left[c] != right[c]:
+                return triple, c
+    return None
 
 
 def _first_disagreement(bd: BasicData, sk: Skeleton, v: int):
@@ -329,6 +365,39 @@ def _first_disagreement(bd: BasicData, sk: Skeleton, v: int):
     return None
 
 
+def _batch_disagreement(bd: BasicData, sk: Skeleton, edges: dict):
+    """The first edge triple, by :func:`_first_disagreement`, from the first
+    range vertex whose triples' batches disagree or leave a hole, or None."""
+    # Per colour pair, one batch of every chain (mu, nu) in out-list
+    # order, then each vertex's range of rows, and each row's source.
+    pairs, e = {}, {c: unit(COLOUR_AXIS[c]) for c in (BLUE, RED)}
+    for a, b in product((BLUE, RED), repeat=2):
+        (cols_a, heads_a, spans_a), (cols_b, heads_b, spans_b) = edges[a], edges[b]
+        groups = list(map(spans_b.__getitem__, heads_a))
+        starts = [0, *accumulate(map(len, groups))]
+        mus, nus = _spread(range(len(groups)), groups)
+        pairs[a, b] = (
+            _join(bd, _geometry(bd.tile, e[a], e[b]), cols_a, cols_b, mus, nus),
+            [range(starts[s.start], starts[s.stop]) for s in spans_a],
+            list(map(heads_b.__getitem__, nus)),
+        )
+    # Per range vertex and colour triple, (mu nu) rho and mu (nu rho) as
+    # two batches, equal and with no (falsy) hole, or the vertex's triples
+    # are composed again in order.
+    for v, (a, b, c) in product(range(len(sk.vertices)), product((BLUE, RED), repeat=3)):
+        (cols_a, heads_a, spans_a), (cols_c, _, spans_c) = edges[a], edges[c]
+        (ab, at_ab, sources), (bc, at_bc, _) = pairs[a, b], pairs[b, c]
+        rows, mus = at_ab[v], spans_a[v]
+        left = _join(bd, _geometry(bd.tile, p_add(e[a], e[b]), e[c]), ab, cols_c,
+                     *_spread(rows, [spans_c[sources[i]] for i in rows]))
+        right = _join(bd, _geometry(bd.tile, e[a], p_add(e[b], e[c])), cols_a, bc,
+                      *_spread(mus, [at_bc[heads_a[mu]] for mu in mus]))
+        if (left != right or not all(map(all, left.values()))) and (
+                triple := _first_disagreement(bd, sk, v)):
+            return triple
+    return None
+
+
 def check_associativity(
     bd: BasicData,
     sk: Skeleton | None = None,
@@ -338,50 +407,33 @@ def check_associativity(
 
     Each triple is a path of total degree 3, so more triples than
     ``limits.max_paths`` raise :class:`SizeLimit` before any compose.
+
+    It is decided once per tile: the edge tables' overlap check makes each
+    operand's range window the source window of the one before, so if the
+    two orders' joins write equal terms (:func:`_order_gap`) and every fill
+    hits, every triple agrees.  Otherwise the triples are composed in both
+    orders as batches, per range vertex, to name the first that differs.
     """
     try:
         sk = sk if sk is not None else build_skeleton(bd, limits, check=False)
         # Composable triples are the three-edge chains along the out-lists,
         # in either colour at each step: O(E) per step to count.
-        vertices = range(len(sk.vertices))
-        chains = _count_chains(dict.fromkeys(vertices, 1), [sk._out[BLUE, RED]] * 3)
+        chains = _count_chains(dict.fromkeys(range(len(sk.vertices)), 1), [sk._out[BLUE, RED]] * 3)
         count = sum(chains.values())
         msg = "associativity: {size} composable edge triples exceed the path cap of {cap}"
         _check_cap(count, limits.max_paths, msg)
         edges = {c: sk._edge_batch(c) for c in (BLUE, RED)}  # every edge, before any compose
-        # Per colour pair, one batch of every chain (mu, nu) in out-list
-        # order, then each vertex's range of rows, and each row's source.
-        pairs, e = {}, {c: unit(COLOUR_AXIS[c]) for c in (BLUE, RED)}
-        for a, b in product((BLUE, RED), repeat=2):
-            (cols_a, heads_a, spans_a), (cols_b, heads_b, spans_b) = edges[a], edges[b]
-            groups = list(map(spans_b.__getitem__, heads_a))
-            starts = [0, *accumulate(map(len, groups))]
-            mus, nus = _spread(range(len(groups)), groups)
-            pairs[a, b] = (
-                _join(bd, _geometry(bd.tile, e[a], e[b]), cols_a, cols_b, mus, nus),
-                [range(starts[s.start], starts[s.stop]) for s in spans_a],
-                list(map(heads_b.__getitem__, nus)),
-            )
-        # Per range vertex and colour triple, (mu nu) rho and mu (nu rho) as
-        # two batches, equal and with no (falsy) hole, or the vertex's triples
-        # are composed again in order.
-        for v, (a, b, c) in product(vertices, product((BLUE, RED), repeat=3)):
-            (cols_a, heads_a, spans_a), (cols_c, _, spans_c) = edges[a], edges[c]
-            (ab, at_ab, sources), (bc, at_bc, _) = pairs[a, b], pairs[b, c]
-            rows, mus = at_ab[v], spans_a[v]
-            left = _join(bd, _geometry(bd.tile, p_add(e[a], e[b]), e[c]), ab, cols_c,
-                         *_spread(rows, [spans_c[sources[i]] for i in rows]))
-            right = _join(bd, _geometry(bd.tile, e[a], p_add(e[b], e[c])), cols_a, bc,
-                          *_spread(mus, [at_bc[heads_a[mu]] for mu in mus]))
-            if left != right or not all(map(all, left.values())):
-                triple = _first_disagreement(bd, sk, v)
-                if triple:
-                    return CheckResult(
-                        "associativity",
-                        False,
-                        "edge triple composes differently in the two orders",
-                        counterexample=triple,
-                    )
+        # Every fill hits if both rules take each |P| + 1 alphabet symbols
+        # into the alphabet, and every vertex symbol is in it.
+        symbols = set(bd.alphabet.symbols)
+        keys = set(product(symbols, repeat=len(bd.tile.reduced) + 1))
+        hit = symbols.issuperset(chain.from_iterable(v.symbols for v in sk.vertices)) and all(
+            keys <= rule.keys() and symbols.issuperset(rule.values()) for rule in bd._rules)
+        if not (hit and _order_gap(bd.tile) is None):
+            triple = _batch_disagreement(bd, sk, edges)
+            if triple:
+                return CheckResult("associativity", False,
+                                   "edge triple composes differently in the two orders", triple)
     except SizeLimit:
         raise  # a cap refusal is not an axiom failure
     except TileGraphError as err:

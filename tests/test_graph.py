@@ -47,6 +47,7 @@ from tilegraphs import (
 from tilegraphs.checks import (
     CheckResult,
     _check_split_count,
+    _order_gap,
     brute_force_paths,
     check_associativity,
     check_commuting_squares,
@@ -910,11 +911,13 @@ class TestAxiomSuites:
     def test_associativity_composes_each_two_edge_chain_once(
         self, ledrappier, ledrappier_sk, monkeypatch, dead
     ):
-        # Batch rows: two per composable triple, plus one per two-edge chain:
-        # 2 * 256 + 64 on ledrappier, where four composes per triple would
-        # give 1,024.  With vertex ``dead`` left without out-edges and vertex
-        # 0 without in-edges, the chains from 0 into ``dead`` are in no
-        # triple, and they are composed too: 2 * 39 + 21.
+        # On valid data the per-tile runner decides the check, and no row is
+        # composed.  Where it refutes the tile, the batch rows are two per
+        # composable triple, plus one per two-edge chain: 2 * 256 + 64 on
+        # ledrappier, where four composes per triple would give 1,024.  With
+        # vertex ``dead`` left without out-edges and vertex 0 without
+        # in-edges, the chains from 0 into ``dead`` are in no triple, and
+        # they are composed too: 2 * 39 + 21.
         import tilegraphs.checks as checks
 
         sk = ledrappier_sk
@@ -930,13 +933,41 @@ class TestAxiomSuites:
         real = checks._join
 
         def counted(bd, geometry, left, right, mus, nus):
-            runs["rows"] += len(mus)
+            if bd is ledrappier:  # the per-tile runner joins terms, not the table's rows
+                runs["rows"] += len(mus)
             return real(bd, geometry, left, right, mus, nus)
 
         monkeypatch.setattr(checks, "_join", counted)
-        assert check_associativity(ledrappier, sk=sk).ok
+        detail = f"all {len(triples)} composable edge triples agree"
+        assert check_associativity(ledrappier, sk=sk).detail == detail
+        assert runs["rows"] == 0
+        monkeypatch.setattr(checks, "_order_gap", lambda tile: (("blue",) * 3, (0, 0)))
+        assert check_associativity(ledrappier, sk=sk).detail == detail
         assert runs["rows"] == 2 * len(triples) + len(chains)
         assert runs["rows"] == (2 * 256 + 64 if dead is None else 2 * 39 + 21)
+
+    def test_unique_factorisation_composes_only_the_slices(
+        self, ledrappier, ledrappier_sk, monkeypatch
+    ):
+        # Once each path's slices compose back to it, that every composable
+        # pair gives a path once is a count, so on valid data the only rows
+        # composed are the slices': each path of degree d <= (2, 2) once per
+        # split, (d1 + 1)(d2 + 1) |Λ^d| in all, with |Λ^d| = 4 * 2 ** (d1 + d2).
+        import tilegraphs.checks as checks
+
+        rows = Counter()
+        real = checks._join
+
+        def counted(bd, geometry, left, right, mus, nus):
+            rows[geometry[2]] += len(left[(0, 0)]) if mus is None else len(mus)
+            return real(bd, geometry, left, right, mus, nus)
+
+        monkeypatch.setattr(checks, "_join", counted)
+        assert check_unique_factorisation(ledrappier, (2, 2), sk=ledrappier_sk).ok
+        want = {d: (d[0] + 1) * (d[1] + 1) * len(brute_force_paths(ledrappier, d))
+                for d in box((0, 0), (2, 2))}
+        assert rows == want
+        assert sum(want.values()) == 4 * sum((i + 1) * 2**i for i in range(3)) ** 2 == 1156
 
     @pytest.mark.parametrize("variant", ["hole", "difference"])
     def test_associativity_reports_the_first_bad_triple_in_order(self, ledrappier, variant):
@@ -1878,6 +1909,11 @@ FLAT = validate_basic_data(
 )
 
 
+TRIPOD3 = validate_basic_data(
+    TRIPOD, ["0", "1", "2"], {"0": ["0", "1", "2"], "1": ["1", "2", "0"], "2": ["2", "0", "1"]}
+)
+
+
 @st.composite
 def axiom_cases(draw):
     """Data (possibly corrupted), a check degree up to (2, 2), and the
@@ -1928,6 +1964,13 @@ class TestAxiomChecksAgainstTwin:
         build_skeleton(ledrappier_data()),
         {(1, 0), (1, 2), (1, 3), (2, 2), (2, 3), (3, 0), (3, 1)},
         {(0, 0), (0, 1), (0, 2), (1, 2), (1, 3), (2, 0), (2, 1), (3, 2), (3, 3)})))
+    # A vertex listed twice (without edges) is two chain rows of one path,
+    # so each slice pair still composes back while the (0, 0) pairs outnumber
+    # the paths: 12 for 9 on the three-symbol tripod, 7 for 4 on ledrappier.
+    # The pairs are then composed, and the duplicate named.
+    @example((TRIPOD3, (0, 0), rewire(build_skeleton(TRIPOD3), "repeated-vertex", 4)))
+    @example((ledrappier_data(), (1, 1),
+              rewire(build_skeleton(ledrappier_data()), "repeated-vertex", 0)))
     def test_checks_match_the_twins(self, case):
         bd, d, sk = case
         assert result_key(outcome(check_unique_factorisation, bd, d, sk)) == result_key(
@@ -2000,6 +2043,60 @@ def test_each_geometry_writes_the_rest_of_its_translate_union(case):
             have.add(target)
             written.append(target)
         assert sorted(written) == sorted(union(total) - union(dmu))
+
+
+HEREDITARY_TILES = [
+    parse_tile([(x, y) for x, h in enumerate(heights) for y in range(h)])
+    for cells in range(1, 13) for heights in column_heights(cells)
+]
+
+
+def test_the_two_orders_agree_on_every_tile():
+    # The per-tile runner that decides associativity: on every hereditary
+    # tile of at most 12 cells (271 of them) and every input's tile, both
+    # orders write the same term at every cell for all eight colour triples.
+    tiles = [*HEREDITARY_TILES, *map(geometry_tile, BASIC_DATA_INPUTS)]
+    assert len(HEREDITARY_TILES) == 271
+    assert [tile for tile in tiles if _order_gap(tile) is not None] == []
+
+
+def reversed_fills(geometry, dmu, dnu):
+    return geometry[0], geometry[1][::-1], geometry[2]
+
+
+def last_fill_dropped(geometry, dmu, dnu):
+    return geometry[0], geometry[1][:-1], geometry[2]
+
+
+def moved_by_dnu(geometry, dmu, dnu):
+    return [(c, p_add(c, dnu)) for c, _ in geometry[0]], geometry[1], geometry[2]
+
+
+def first_fill_flipped(geometry, dmu, dnu):
+    fills = [(*fill[:3], not fill[3]) if i == 0 else fill for i, fill in enumerate(geometry[1])]
+    return geometry[0], fills, geometry[2]
+
+
+@pytest.mark.parametrize(
+    "broken", [reversed_fills, last_fill_dropped, moved_by_dnu, first_fill_flipped]
+)
+def test_the_runner_refutes_a_broken_geometry(monkeypatch, broken):
+    # With any of four faults in the composition geometry, the runner finds
+    # the orders apart, or cannot run them (a step reads a cell no step
+    # wrote), on every tile of 2 to 8 cells: its agreement is no vacuous pass.
+    import tilegraphs.checks as checks
+
+    monkeypatch.setattr(checks, "_geometry", lambda t, a, b: broken(_geometry(t, a, b), a, b))
+
+    def refuted(tile):
+        try:
+            return _order_gap(tile) is not None
+        except KeyError:
+            return True
+
+    tiles = [tile for tile in HEREDITARY_TILES if 2 <= len(tile) <= 8]
+    assert len(tiles) == 65
+    assert all(map(refuted, tiles))
 
 
 @pytest.mark.parametrize("path", BASIC_DATA_INPUTS, ids=lambda path: path.stem)
