@@ -10,11 +10,11 @@ Unique factorisation takes each degree's edge chains one frontier step
 from the degree one edge below, and composes each split's slices back as
 one batch of columns by cell, through the one composition executor
 :func:`tilegraphs.graph._join`; the split's composable pairs are then
-counted, and composed only to name a failure.  Associativity is decided
-once per tile on terms (:func:`_order_gap`), else it composes every
-two-edge chain once, then each range vertex's triples in both orders.  A
-``Path`` is built only for a counterexample, and rows are composed one by
-one only where a batch fails.
+counted, and composed only to name a failure; a ``Path`` is built only
+for a counterexample.  Associativity is decided once per tile on terms
+(:func:`_order_gap`); where that does not settle it, each edge triple is
+composed in both orders by :func:`compose`, in order, as the definition
+reads.
 
 On commuting squares, counted per range vertex along the skeleton's
 out-lists: between an ordered vertex pair there is at most one
@@ -31,7 +31,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate, chain, compress, product, repeat
+from itertools import chain, compress, product, repeat
 from types import SimpleNamespace
 from typing import Any
 
@@ -365,39 +365,6 @@ def _first_disagreement(bd: BasicData, sk: Skeleton, v: int):
     return None
 
 
-def _batch_disagreement(bd: BasicData, sk: Skeleton, edges: dict):
-    """The first edge triple, by :func:`_first_disagreement`, from the first
-    range vertex whose triples' batches disagree or leave a hole, or None."""
-    # Per colour pair, one batch of every chain (mu, nu) in out-list
-    # order, then each vertex's range of rows, and each row's source.
-    pairs, e = {}, {c: unit(COLOUR_AXIS[c]) for c in (BLUE, RED)}
-    for a, b in product((BLUE, RED), repeat=2):
-        (cols_a, heads_a, spans_a), (cols_b, heads_b, spans_b) = edges[a], edges[b]
-        groups = list(map(spans_b.__getitem__, heads_a))
-        starts = [0, *accumulate(map(len, groups))]
-        mus, nus = _spread(range(len(groups)), groups)
-        pairs[a, b] = (
-            _join(bd, _geometry(bd.tile, e[a], e[b]), cols_a, cols_b, mus, nus),
-            [range(starts[s.start], starts[s.stop]) for s in spans_a],
-            list(map(heads_b.__getitem__, nus)),
-        )
-    # Per range vertex and colour triple, (mu nu) rho and mu (nu rho) as
-    # two batches, equal and with no (falsy) hole, or the vertex's triples
-    # are composed again in order.
-    for v, (a, b, c) in product(range(len(sk.vertices)), product((BLUE, RED), repeat=3)):
-        (cols_a, heads_a, spans_a), (cols_c, _, spans_c) = edges[a], edges[c]
-        (ab, at_ab, sources), (bc, at_bc, _) = pairs[a, b], pairs[b, c]
-        rows, mus = at_ab[v], spans_a[v]
-        left = _join(bd, _geometry(bd.tile, p_add(e[a], e[b]), e[c]), ab, cols_c,
-                     *_spread(rows, [spans_c[sources[i]] for i in rows]))
-        right = _join(bd, _geometry(bd.tile, e[a], p_add(e[b], e[c])), cols_a, bc,
-                      *_spread(mus, [at_bc[heads_a[mu]] for mu in mus]))
-        if (left != right or not all(map(all, left.values()))) and (
-                triple := _first_disagreement(bd, sk, v)):
-            return triple
-    return None
-
-
 def check_associativity(
     bd: BasicData,
     sk: Skeleton | None = None,
@@ -411,8 +378,9 @@ def check_associativity(
     It is decided once per tile: the edge tables' overlap check makes each
     operand's range window the source window of the one before, so if the
     two orders' joins write equal terms (:func:`_order_gap`) and every fill
-    hits, every triple agrees.  Otherwise the triples are composed in both
-    orders as batches, per range vertex, to name the first that differs.
+    hits, every triple agrees.  Otherwise every triple is composed in both
+    orders by :func:`compose`, vertex by vertex in out-list order, and the
+    first that differs, or the first error raised, is the result.
     """
     try:
         sk = sk if sk is not None else build_skeleton(bd, limits, check=False)
@@ -422,7 +390,8 @@ def check_associativity(
         count = sum(chains.values())
         msg = "associativity: {size} composable edge triples exceed the path cap of {cap}"
         _check_cap(count, limits.max_paths, msg)
-        edges = {c: sk._edge_batch(c) for c in (BLUE, RED)}  # every edge, before any compose
+        for colour in (BLUE, RED):  # every edge, blue first, before any compose
+            sk._edge_batch(colour)
         # Every fill hits if both rules take each |P| + 1 alphabet symbols
         # into the alphabet, and every vertex symbol is in it.
         symbols = set(bd.alphabet.symbols)
@@ -430,7 +399,8 @@ def check_associativity(
         hit = symbols.issuperset(chain.from_iterable(v.symbols for v in sk.vertices)) and all(
             keys <= rule.keys() and symbols.issuperset(rule.values()) for rule in bd._rules)
         if not (hit and _order_gap(bd.tile) is None):
-            triple = _batch_disagreement(bd, sk, edges)
+            vertices = range(len(sk.vertices))
+            triple = next(filter(None, map(partial(_first_disagreement, bd, sk), vertices)), None)
             if triple:
                 return CheckResult("associativity", False,
                                    "edge triple composes differently in the two orders", triple)

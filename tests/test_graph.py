@@ -76,6 +76,11 @@ from tilegraphs.serialize import basic_data_from_dict
 from conftest import DATA_DIR, relabel_data, small_data, transpose_data
 
 ROOT = DATA_DIR.parent
+BASIC_DATA_INPUTS = sorted(
+    path
+    for path in [*DATA_DIR.glob("*.json"), *(ROOT / "perfbench" / "inputs").rglob("*.json")]
+    if path.name != "cap1024.json" and "bijections" in json.loads(path.read_text())
+)
 TRIPOD = parse_tile([(0, 0), (1, 0), (0, 1)])
 LEDRAPPIER_TABLE = {"0": ["0", "1"], "1": ["1", "0"]}
 
@@ -907,17 +912,38 @@ class TestAxiomSuites:
             next(batch)
         assert str(err.value) == "no bijection for pattern 'x'"
 
+    @pytest.mark.parametrize("path", BASIC_DATA_INPUTS, ids=lambda path: path.stem)
+    def test_associativity_composes_no_row_on_valid_data(self, path, monkeypatch):
+        # On valid data the per-tile runner decides the check: no row of the
+        # table goes through the composition executor.
+        import tilegraphs.checks as checks
+
+        bd = basic_data_from_dict(json.loads(path.read_text()))
+        sk = build_skeleton(bd)
+        edges = sk.blue + sk.red
+        out = Counter(v for v, _ in edges)
+        count = sum(out[x] for _, w in edges for w2, x in edges if w2 == w)
+        rows = Counter()
+        real = checks._join
+
+        def counted(data, geometry, left, right, mus, nus):
+            if data is bd:  # the runner joins terms, not the table's rows
+                rows["rows"] += len(left[(0, 0)]) if mus is None else len(mus)
+            return real(data, geometry, left, right, mus, nus)
+
+        monkeypatch.setattr(checks, "_join", counted)
+        result = check_associativity(bd, sk=sk)
+        assert (result.ok, result.detail) == (True, f"all {count} composable edge triples agree")
+        assert rows["rows"] == 0
+
     @pytest.mark.parametrize("dead", [None, 3], ids=["ledrappier", "dead-end"])
-    def test_associativity_composes_each_two_edge_chain_once(
+    def test_associativity_falls_back_to_the_definition(
         self, ledrappier, ledrappier_sk, monkeypatch, dead
     ):
-        # On valid data the per-tile runner decides the check, and no row is
-        # composed.  Where it refutes the tile, the batch rows are two per
-        # composable triple, plus one per two-edge chain: 2 * 256 + 64 on
-        # ledrappier, where four composes per triple would give 1,024.  With
-        # vertex ``dead`` left without out-edges and vertex 0 without
-        # in-edges, the chains from 0 into ``dead`` are in no triple, and
-        # they are composed too: 2 * 39 + 21.
+        # Where the per-tile runner refutes the tile, every triple is composed
+        # in both orders by compose, four composes a triple, and the result
+        # is the twin's: 256 triples on ledrappier, and 39 with vertex
+        # ``dead`` left without out-edges and vertex 0 without in-edges.
         import tilegraphs.checks as checks
 
         sk = ledrappier_sk
@@ -926,25 +952,20 @@ class TestAxiomSuites:
                 sk,
                 *({e for e in es if e[0] != dead and e[1] != 0} for es in (sk.blue, sk.red)),
             )
-        edges = [(c, v, u) for c in ("blue", "red") for v, u in sk.edges(c)]
-        chains = [(a, b) for a in edges for b in edges if a[2] == b[1]]
-        triples = [(a, b, c) for a, b in chains for c in edges if b[2] == c[1]]
-        runs = Counter()
-        real = checks._join
+        calls = Counter()
+        real = checks.compose
 
-        def counted(bd, geometry, left, right, mus, nus):
-            if bd is ledrappier:  # the per-tile runner joins terms, not the table's rows
-                runs["rows"] += len(mus)
-            return real(bd, geometry, left, right, mus, nus)
+        def counted(bd, mu, nu):
+            calls["compose"] += 1
+            return real(bd, mu, nu)
 
-        monkeypatch.setattr(checks, "_join", counted)
-        detail = f"all {len(triples)} composable edge triples agree"
-        assert check_associativity(ledrappier, sk=sk).detail == detail
-        assert runs["rows"] == 0
         monkeypatch.setattr(checks, "_order_gap", lambda tile: (("blue",) * 3, (0, 0)))
-        assert check_associativity(ledrappier, sk=sk).detail == detail
-        assert runs["rows"] == 2 * len(triples) + len(chains)
-        assert runs["rows"] == (2 * 256 + 64 if dead is None else 2 * 39 + 21)
+        monkeypatch.setattr(checks, "compose", counted)
+        result = check_associativity(ledrappier, sk=sk)
+        triples = 256 if dead is None else 39
+        assert (result.ok, result.detail) == (True, f"all {triples} composable edge triples agree")
+        assert calls["compose"] == 4 * triples
+        assert result_key(result) == result_key(twin_associativity(ledrappier, sk=sk))
 
     def test_unique_factorisation_composes_only_the_slices(
         self, ledrappier, ledrappier_sk, monkeypatch
@@ -972,11 +993,10 @@ class TestAxiomSuites:
     @pytest.mark.parametrize("variant", ["hole", "difference"])
     def test_associativity_reports_the_first_bad_triple_in_order(self, ledrappier, variant):
         # From vertex 0 the triples run in out-list order: triple 8 is the
-        # first blue-red-blue one and triple 18 a blue-blue-red one.  The
-        # batches run by colour triple, blue-blue-red before blue-red-blue.
-        # Without f_inv's row for '1', triple 18 is the first to meet a
-        # missing pattern; that hole is in the batch that runs first, so a
-        # check that raised the first hole in batch order would report it.
+        # first blue-red-blue one and triple 18 a blue-blue-red one.  Without
+        # f_inv's row for '1', triple 18 is the first to meet a missing
+        # pattern; a check that composed by colour triple, blue-blue-red
+        # before blue-red-blue, would report that hole first.
         f, inv = dict(ledrappier.bijections), dict(ledrappier.inverses)
         del inv["1",]
         sk = build_skeleton(ledrappier)
@@ -987,9 +1007,8 @@ class TestAxiomSuites:
         else:
             # The red loop at vertex 0 gets a source window that is not
             # vertex 0.  Triple 8, whose nu it is, is the first whose windows
-            # disagree, which compose names; the batches, which read no
-            # windows, see the two orders differ only at red-blue-red
-            # triples, batched after the hole's.
+            # disagree, which compose names before it reaches triple 18's
+            # hole.
             columns, _, spans = sk._edge_batch("red")
             column, i = columns[0, 2], spans[0][sk.out_neighbours("red", 0).index(0)]
             column[i] = "1" if column[i] == "0" else "0"
@@ -1512,9 +1531,12 @@ class TestBadWindowAgainstTwin:
     @settings(max_examples=60, deadline=None)
     @example((ONE_CELL, (1, 1), {(0, 0): "1", (0, 1): "0", (1, 0): "1", (1, 1): "1"},
               (-2, 1), set()))
+    # The staircase's first (1, 1) path from its last vertex, written out so
+    # that collecting this module composes nothing.
     @example((corrupt(staircase_data(), "missing-pattern"), (1, 1),
-              enumerate_paths(staircase_data(), build_skeleton(staircase_data()).vertices[-1],
-                              (1, 1))[0].as_dict(), (0, -3), set()))
+              {(0, 0): "1", (0, 1): "1", (0, 2): "0", (1, 0): "1", (1, 1): "1", (1, 2): "0",
+               (2, 0): "0", (2, 1): "0", (2, 2): "0", (3, 0): "0", (3, 1): "1"},
+              (0, -3), set()))
     @example((corrupt(ledrappier_data(), "unknown-symbol"), (2, 1),
               {c: "1" for c in translate_union(TRIPOD, (2, 1)).points}, (3, -1), set()))
     def test_admissibility_matches_the_twin(self, case):
@@ -1982,12 +2004,6 @@ class TestAxiomChecksAgainstTwin:
 
 
 # -- the transposed-table oracle -----------------------------------------------
-
-BASIC_DATA_INPUTS = sorted(
-    path
-    for path in [*DATA_DIR.glob("*.json"), *(ROOT / "perfbench" / "inputs").rglob("*.json")]
-    if path.name != "cap1024.json" and "bijections" in json.loads(path.read_text())
-)
 
 
 def column_heights(cells, top=None):
