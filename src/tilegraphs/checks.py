@@ -7,14 +7,14 @@ a breadth-first window filter, independent of edge-chain composition), so
 they also catch deliberately corrupted data that bypassed validation.
 
 Unique factorisation takes each degree's edge chains one frontier step
-from the degree one edge below, and composes each split's slices back as
-one batch of columns by cell, through the one composition executor
-:func:`tilegraphs.graph._join`; the split's composable pairs are then
-counted, and composed only to name a failure; a ``Path`` is built only
-for a counterexample.  Associativity is decided once per tile on terms
-(:func:`_order_gap`); where that does not settle it, each edge triple is
-composed in both orders by :func:`compose`, in order, as the definition
-reads.
+from the degree one edge below; that each path's slices compose back to
+it is decided once per table where ``f_inv`` undoes ``f``, else checked by
+one batch per split through the one composition executor
+:func:`tilegraphs.graph._join`.  Composable pairs are counted, and composed
+only to name a failure; a ``Path`` is built only for a counterexample.
+Associativity is decided once per tile on terms (:func:`_order_gap`);
+where that does not settle it, each edge triple is composed in both
+orders by :func:`compose`, in order, as the definition reads.
 
 On commuting squares, counted per range vertex along the skeleton's
 out-lists: between an ordered vertex pair there is at most one
@@ -31,7 +31,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, compress, product, repeat
+from itertools import chain, product, repeat
 from types import SimpleNamespace
 from typing import Any
 
@@ -81,17 +81,19 @@ def brute_force_paths(
 
 def _window_filter(bd: BasicData, n: Point, limits: Limits) -> list[list[str]]:
     """The paths of :func:`brute_force_paths`, one column per slot of
-    ``T(n)``, filtered breadth first over the cells in slot order.
+    ``T(n)``, generated breadth first over the cells in slot order.
 
-    Each frontier row is extended by every symbol in alphabet order, then
-    filtered by the window ending at that cell: rows stay in lexicographic
-    order, and the frontier never holds more than ``|A|`` times the largest
-    filtered frontier.  Each step keeps the row each new row extends and
-    its symbol; only slots a later window reads follow the frontier.  The
-    cap is decided first: ``_vertex_keys`` has one bottom-right symbol per
-    pattern and top symbol, valid table or not, so a kept labelling is fixed
-    by its ``|T(n)| - (n1 + 1)(n2 + 1) = |P| + 1 + n1 c2 + n2 c1`` cells that
-    are no window's bottom-right corner, a bound the count meets on valid data.
+    Each frontier row is extended by every symbol in alphabet order, but at
+    the last cell of a window only by the symbols that make the window a
+    vertex, in alphabet order, read off ``_vertex_keys`` indexed by the
+    window's other cells: the rows a filter by that window would keep, in
+    the same lexicographic order.  Each step keeps the row each new row
+    extends and its symbol, unless it gives every row one symbol; only slots
+    a later window reads follow the frontier.  The cap is decided first:
+    ``_vertex_keys`` has one bottom-right symbol per pattern and top symbol,
+    valid table or not, so a kept labelling is fixed by its ``|T(n)| -
+    (n1 + 1)(n2 + 1) = |P| + 1 + n1 c2 + n2 c1`` cells that are no window's
+    bottom-right corner, a bound the count meets on valid data.
     """
     _check_degree(n)
     _check_windows(n, limits)
@@ -99,30 +101,37 @@ def _window_filter(bd: BasicData, n: Point, limits: Limits) -> list[list[str]]:
     msg = "brute force: paths of degree {n} exceed the path cap of {cap}"
     _check_cap((len(bd.alphabet), e), limits.max_paths, msg, n=n)
     tile, slot = bd.tile, _layout(bd.tile, n).slot
-    # By the slot of its last cell (translation keeps the tile's order), each
-    # window's vertex key: its slots at the reduced set and both corners.
-    picks = (*tile.sorted_reduced, tile.corner_ul, tile.corner_br)
-    windows = {
-        slot[p_add(tile.sorted_points[-1], k)]: [slot[p_add(p, k)] for p in picks]
-        for k in box(ORIGIN, n)
+    # A window's key reads its reduced cells and corners; its last cell in slot order
+    # (translation keeps the tile's order) is one, or both corners on the one-cell tile.
+    picks, last = (*tile.sorted_reduced, tile.corner_ul, tile.corner_br), tile.sorted_points[-1]
+    rest, at = ([j for j, p in enumerate(picks) if (p == last) == b] for b in (False, True))
+    rank, ends = bd.alphabet._index, {}  # the other picks' symbols -> the last cell's
+    for _, key in sorted((rank[k[at[0]]], k) for k in bd._vertex_keys if k[at[0]] in rank):
+        if key[at[0]] == key[at[-1]]:
+            ends.setdefault(tuple(map(key.__getitem__, rest)), []).append(key[at[0]])
+    windows = {  # by the slot of its last cell, each window's other picks' slots
+        slot[p_add(last, k)]: [slot[p_add(picks[j], k)] for j in rest] for k in box(ORIGIN, n)
     }
-    until = {q: i for i, key in sorted(windows.items()) for q in key}
-    symbols, vertex = bd.alphabet.symbols, bd._vertex_keys.__contains__
+    until = {q: i for i, key in sorted(windows.items()) for q in (*key, i)}
     steps, live, size = [], {}, 1  # live: slot -> its symbol in each frontier row
     for i in range(len(slot)):
-        take = [j for j in range(size) for _ in symbols]
-        live = {q: list(map(live[q].__getitem__, take)) for q in live if until[q] >= i}
-        live[i] = list(symbols) * size
+        live = {q: c for q, c in live.items() if until[q] >= i}
         if i in windows:
-            keep = list(map(vertex, zip(*map(live.get, windows[i]))))
-            take = list(compress(take, keep))
-            live = {q: list(compress(c, keep)) for q, c in live.items()}
-        steps.append((array("l", take), live[i]))
-        size = len(take)
+            keys = zip(*map(live.__getitem__, windows[i])) if rest else repeat((), size)
+            found = list(map(ends.get, keys, repeat(())))  # each row's symbols here
+        else:
+            found = [bd.alphabet.symbols] * size
+        column, take = list(chain.from_iterable(found)), None
+        if len(column) != size or () in found:  # unless each row took one symbol
+            take = array("l", chain.from_iterable(map(repeat, range(size), map(len, found))))
+            live = {q: list(map(c.__getitem__, take)) for q, c in live.items()}
+        live[i] = column
+        steps.append((take, column))
+        size = len(column)
     columns, index = [], range(size)
     for take, column in reversed(steps):
         columns.append(list(map(column.__getitem__, index)))
-        index = list(map(take.__getitem__, index))
+        index = index if take is None else list(map(take.__getitem__, index))
     return columns[::-1]
 
 
@@ -225,6 +234,15 @@ def _check_split_count(bd: BasicData, degree: Point, vertices: int, limits: Limi
                "exceed the path cap of {cap}", n=degree)
 
 
+def _rewrites(tile: Tile, geometry: tuple, dmu: Point) -> bool:
+    """Whether composing degree ``dmu`` by ``geometry`` writes exactly ``T``
+    at the total degree, by fills of windows at bases in ``box(0, total)``."""
+    moved, fills, total = geometry
+    bases = [p_sub(t, tile.corner_br if forward else tile.corner_ul) for t, *_, forward in fills]
+    written = {*_layout(tile, dmu).cells, *(p for _, p in moved), *(s[0] for s in fills)}
+    return written == set(_layout(tile, total).cells) and set(bases).issubset(box(ORIGIN, total))
+
+
 def check_unique_factorisation(
     bd: BasicData,
     degree: Point,
@@ -245,6 +263,15 @@ def check_unique_factorisation(
     (b) holds exactly when there are as many pairs as paths; only when
     there are more are the pairs composed, to name the failure.
 
+    (a) is decided once per table where it can be.  Each path's windows
+    ``T + k``, ``k <= d``, are in ``_vertex_keys``, which are ``f``'s
+    entries, so a forward fill at a base in ``box(0, d)`` rewrites the
+    path's own symbol, and so does a backward fill where ``f_inv`` undoes
+    ``f``.  So if ``f_inv`` undoes ``f`` on every entry and a split passes
+    :func:`_rewrites` (the geometry's oracle has each fill read only cells
+    written before it), each path's slices compose back to it, and none is
+    composed; otherwise they are composed back as one batch.
+
     More path splits in all than ``limits.max_paths`` raise
     :class:`SizeLimit` before the first walk.
     """
@@ -253,6 +280,8 @@ def check_unique_factorisation(
     try:
         sk = sk if sk is not None else build_skeleton(bd, limits, check=False)
         _check_split_count(bd, degree, len(sk.vertices), limits)
+        inverse, forward = bd._rules
+        undone = all(inverse.get((*k[:-1], s)) == k[-1] for k, s in forward.items())
         # Per degree: its chains (columns by cell, and sources), and its row
         # numbers by range window.  Box order reaches every degree below ``d``
         # before ``d``, so ``d - e`` and a split's operands are enumerated.
@@ -270,31 +299,27 @@ def check_unique_factorisation(
             brute_set, brute_cells = set(zip(*brute)), dict(zip(order, brute))
             if set(zip(*map(cells.__getitem__, order))) != brute_set:
                 chain_set = set(zip(*map(cells.__getitem__, order)))  # not kept past the test
-                # Labels of one degree share their cells, so they sort as
-                # their symbols do.
-                odd = min(chain_set ^ brute_set)
-                return fail(
-                    f"edge-chain and window-filter path sets differ at "
-                    f"degree {d} ({len(chain_set)} vs {len(brute_set)})",
-                    counterexample=_path(tile, d, odd).labels,
-                )
+                odd = min(chain_set ^ brute_set)  # one degree's labels sort as their symbols
+                return fail(f"edge-chain and window-filter path sets differ at degree {d} "
+                            f"({len(chain_set)} vs {len(brute_set)})",
+                            counterexample=_path(tile, d, odd).labels)
             by_range = ranges[d] = {}
             for i, key in enumerate(zip(*map(cells.__getitem__, window))):
                 by_range.setdefault(key, []).append(i)
-            # Each split is two batches, each tested on its columns; a row
-            # loop runs only to name the first bad row.
+            # Each split's (a) and (b) are decided, or each tested as one batch
+            # of columns; a row loop runs only to name the first bad row.
             for m in box(ORIGIN, d):
                 n = p_sub(d, m)
                 geometry = _geometry(tile, m, n)
-                # (a): each path's two slices, composed back in one batch.
-                mu = {c: brute_cells[c] for c in _layout(tile, m).cells}
-                nu = {c: brute_cells[p_add(c, m)] for c in _layout(tile, n).cells}
-                out = _join(bd, geometry, mu, nu, None, None)
-                if out != brute_cells:
-                    for lam, got in zip(zip(*brute), _rows(bd, geometry, out)):
-                        if got != lam:
-                            return fail(f"slice-and-compose failed at degree {d}, split {m}",
-                                        counterexample=_path(tile, d, lam))
+                if not (undone and _rewrites(tile, geometry, m)):
+                    mu = {c: brute_cells[c] for c in _layout(tile, m).cells}
+                    nu = {c: brute_cells[p_add(c, m)] for c in _layout(tile, n).cells}
+                    out = _join(bd, geometry, mu, nu, None, None)
+                    if out != brute_cells:
+                        for lam, got in zip(zip(*brute), _rows(bd, geometry, out)):
+                            if got != lam:
+                                return fail(f"slice-and-compose failed at degree {d}, "
+                                            f"split {m}", counterexample=_path(tile, d, lam))
                 # (b) by the pair count; in (mu, nu) enumeration order, each mu
                 # meets the nu's whose range is its source, in their order.
                 left = enumerated[m][0]
@@ -313,11 +338,8 @@ def check_unique_factorisation(
         raise  # a cap refusal is not an axiom failure
     except TileGraphError as err:
         return fail(f"{err.code}: {err}", counterexample=err)
-    return CheckResult(
-        "unique-factorisation",
-        True,
-        f"all splits of all paths of degree <= {degree} factor uniquely",
-    )
+    return CheckResult("unique-factorisation", True,
+                       f"all splits of all paths of degree <= {degree} factor uniquely")
 
 
 def _order_gap(tile: Tile) -> tuple | None:
@@ -350,17 +372,18 @@ def _order_gap(tile: Tile) -> tuple | None:
 
 def _first_disagreement(bd: BasicData, sk: Skeleton, v: int):
     """The first edge triple from ``v``, in order, that composes differently
-    in the two orders, by :func:`compose`: the first compose that fails
-    raises its error."""
+    in the two orders, by :func:`compose` (``mu nu`` once per chain, at its
+    first ``rho``): the first compose that fails raises its error."""
 
     def out(w):
         return [(sk.edge_path(c, w, u), u) for c in (BLUE, RED) for u in sk._out[c][w]]
 
     for mu, w in out(v):
         for nu, x in out(w):
-            for rho, _ in out(x):
-                left = compose(bd, compose(bd, mu, nu), rho)
-                if left != compose(bd, mu, compose(bd, nu, rho)):
+            rhos = out(x)
+            ab = rhos and compose(bd, mu, nu)  # once per chain, at its first rho
+            for rho, _ in rhos:
+                if compose(bd, ab, rho) != compose(bd, mu, compose(bd, nu, rho)):
                     return mu, nu, rho
     return None
 

@@ -941,9 +941,10 @@ class TestAxiomSuites:
         self, ledrappier, ledrappier_sk, monkeypatch, dead
     ):
         # Where the per-tile runner refutes the tile, every triple is composed
-        # in both orders by compose, four composes a triple, and the result
-        # is the twin's: 256 triples on ledrappier, and 39 with vertex
-        # ``dead`` left without out-edges and vertex 0 without in-edges.
+        # in both orders by compose, and the result is the twin's: 256
+        # triples on ledrappier, and 39 with vertex ``dead`` left without
+        # out-edges and vertex 0 without in-edges.  That is three composes a
+        # triple, and one more for each two-edge chain that has a third edge.
         import tilegraphs.checks as checks
 
         sk = ledrappier_sk
@@ -964,16 +965,39 @@ class TestAxiomSuites:
         result = check_associativity(ledrappier, sk=sk)
         triples = 256 if dead is None else 39
         assert (result.ok, result.detail) == (True, f"all {triples} composable edge triples agree")
-        assert calls["compose"] == 4 * triples
+        edges = sk.blue + sk.red
+        out = Counter(v for v, _ in edges)
+        chains = sum(1 for _, w in edges for w2, x in edges if w2 == w and out[x])
+        assert (chains, calls["compose"]) == ((64, 832) if dead is None else (12, 129))
+        assert calls["compose"] == 3 * triples + chains
         assert result_key(result) == result_key(twin_associativity(ledrappier, sk=sk))
+
+    @pytest.mark.parametrize("path", BASIC_DATA_INPUTS, ids=lambda path: path.stem)
+    def test_unique_factorisation_composes_no_row_on_valid_data(self, path, monkeypatch):
+        # On valid data f_inv undoes f and every split's geometry rewrites
+        # the path, so slice-and-compose is decided; the cover test is a
+        # pair count.  No row goes through the composition executor.
+        import tilegraphs.checks as checks
+
+        bd = basic_data_from_dict(json.loads(path.read_text()))
+        rows = Counter()
+        real = checks._join
+
+        def counted(data, geometry, left, right, mus, nus):
+            rows[geometry[2]] += len(left[(0, 0)]) if mus is None else len(mus)
+            return real(data, geometry, left, right, mus, nus)
+
+        monkeypatch.setattr(checks, "_join", counted)
+        result = check_unique_factorisation(bd, (2, 2))
+        assert (result.ok, rows) == (True, Counter())
 
     def test_unique_factorisation_composes_only_the_slices(
         self, ledrappier, ledrappier_sk, monkeypatch
     ):
-        # Once each path's slices compose back to it, that every composable
-        # pair gives a path once is a count, so on valid data the only rows
-        # composed are the slices': each path of degree d <= (2, 2) once per
-        # split, (d1 + 1)(d2 + 1) |Λ^d| in all, with |Λ^d| = 4 * 2 ** (d1 + d2).
+        # Where the decision is refuted, each path's slices are composed back
+        # as one batch per split, and only they: each path of degree
+        # d <= (2, 2) once per split, (d1 + 1)(d2 + 1) |Λ^d| in all, with
+        # |Λ^d| = 4 * 2 ** (d1 + d2).  The result is the twin's.
         import tilegraphs.checks as checks
 
         rows = Counter()
@@ -984,11 +1008,28 @@ class TestAxiomSuites:
             return real(bd, geometry, left, right, mus, nus)
 
         monkeypatch.setattr(checks, "_join", counted)
-        assert check_unique_factorisation(ledrappier, (2, 2), sk=ledrappier_sk).ok
         want = {d: (d[0] + 1) * (d[1] + 1) * len(brute_force_paths(ledrappier, d))
                 for d in box((0, 0), (2, 2))}
-        assert rows == want
         assert sum(want.values()) == 4 * sum((i + 1) * 2**i for i in range(3)) ** 2 == 1156
+        with monkeypatch.context() as patch:
+            patch.setattr(checks, "_rewrites", lambda tile, geometry, dmu: False)
+            result = check_unique_factorisation(ledrappier, (2, 2), sk=ledrappier_sk)
+        assert (result.ok, rows) == (True, want)
+        twin = twin_unique_factorisation(ledrappier, (2, 2), sk=ledrappier_sk)
+        assert result_key(result) == result_key(twin)
+        # With f_inv's row for '0' swapped, f_inv no longer undoes f: the
+        # table refutes the decision, so each degree's slices are composed
+        # until the edge chains, whose backward fills now go astray, leave
+        # the brute force at degree (1, 1).
+        inverses = {**ledrappier.inverses, ("0",): ledrappier.inverses["0",][::-1]}
+        bad = BasicData(ledrappier.tile, ledrappier.alphabet, ledrappier.bijections, inverses)
+        rows.clear()
+        result = check_unique_factorisation(bad, (2, 2), sk=ledrappier_sk)
+        assert result.detail.startswith("edge-chain and window-filter path sets differ at "
+                                        "degree (1, 1)")
+        assert rows == {d: want[d] for d in [(0, 0), (0, 1), (0, 2), (1, 0)]}
+        twin = twin_unique_factorisation(bad, (2, 2), sk=ledrappier_sk)
+        assert result_key(result) == result_key(twin)
 
     @pytest.mark.parametrize("variant", ["hole", "difference"])
     def test_associativity_reports_the_first_bad_triple_in_order(self, ledrappier, variant):
@@ -1445,6 +1486,62 @@ class TestPlannedCoreAgainstTwin:
                 compose(ledrappier, bad, nu)
             with pytest.raises(InvariantViolation):
                 factorize(bad, (0, 0), (0, 0))
+
+
+def input_data(name):
+    return basic_data_from_dict(json.loads((DATA_DIR / f"{name}.json").read_text()))
+
+
+def square_over_1_0():
+    """The square table read over the alphabet ``1, 0``, whose order is
+    not its symbols' string order."""
+    rows = {",".join(p): list(row) for p, row in input_data("square").bijections.items()}
+    return validate_basic_data(parse_tile([(0, 0), (1, 0), (0, 1), (1, 1)]), ["1", "0"], rows)
+
+
+# A window's last cell in slot order is its bottom-right corner on the flat
+# row, its upper-left one on the tall row, a reduced cell on the square, and
+# both corners on the one-cell tile.
+FILTER_EDGE_CASES = {
+    "one-cell": ONE_CELL,
+    "square": input_data("square"),
+    "square-over-1-0": square_over_1_0(),
+    "flat": input_data("flat"),
+    "tall-flat": transpose_data(input_data("flat")),
+}
+
+
+class TestWindowFilterAgainstTwin:
+    # At a window's last cell the brute force extends each row by the symbols
+    # the vertex keys index under the window's other cells, in alphabet
+    # order; the twin tries every symbol and tests the window.  Both must
+    # give the same paths in the same order, or the same refusal.
+
+    @pytest.mark.parametrize("how", [None, "unknown-symbol", "missing-pattern"])
+    @pytest.mark.parametrize("name", FILTER_EDGE_CASES)
+    def test_each_kind_of_last_cell(self, name, how):
+        bad = corrupt(FILTER_EDGE_CASES[name], how)
+        for d in box((0, 0), (3, 3)):
+            got = outcome(brute_force_paths, bad, d, Limits())
+            assert got == outcome(twin_brute_force_paths, bad, d, Limits())
+
+    @pytest.mark.parametrize("path", BASIC_DATA_INPUTS, ids=lambda path: path.stem)
+    def test_every_input_up_to_degree_3_3(self, path):
+        bd = basic_data_from_dict(json.loads(path.read_text()))
+        for d in box((0, 0), (3, 3)):
+            got = outcome(brute_force_paths, bd, d, Limits())
+            assert got == outcome(twin_brute_force_paths, bd, d, Limits())
+
+    def test_a_one_cell_key_reads_its_cell_as_both_corners(self):
+        # The one-cell window's vertex key is its one symbol twice, so a key
+        # whose corners differ matches no window.  The compiled rules never
+        # hold such a key; planted ones must still be read so.
+        bd = BasicData(ONE_CELL.tile, ONE_CELL.alphabet, {}, {}, "1")
+        vars(bd)["_vertex_keys"] = frozenset({("0", "1"), ("1", "0"), ("1", "1")})
+        for d in box((0, 0), (2, 2)):
+            got = outcome(brute_force_paths, bd, d, Limits())
+            assert got == outcome(twin_brute_force_paths, bd, d, Limits())
+            assert [{s for _, s in lam.labels} for lam in got] == [{"1"}]
 
 
 # -- the slow definitional twin of the window-admissibility rule ---------------
